@@ -27,11 +27,12 @@
 // cross-module scenario). -trace captures the build as Chrome
 // trace-event JSON, loadable in chrome://tracing or
 // https://ui.perfetto.dev; -timing prints the phase timing report to
-// stderr. When -trace is given without an explicit -budget or -naim,
-// the driver pins NAIM to ir-compaction with a small expanded-pool
-// cache so the trace shows loader activity (compactions, expansions,
-// cache churn) even on programs too small to need a budget; generated
-// code is identical either way (NAIM affects memory, never output).
+// stderr. Tracing never changes the build it traces: the NAIM loader
+// runs exactly as -budget and -naim configure it, so a small program
+// traced with the defaults shows little loader activity. Pass
+// -naim ir with a small -budget (say 4096) to watch compactions and
+// expansions; generated code is identical either way (NAIM affects
+// memory, never output).
 //
 // -cache-dir names a durable build repository: rebuilds replay the
 // frontend for unchanged modules and HLO records for functions whose
@@ -236,15 +237,6 @@ func runDriver(paths []string, level int, out, tracePath string, timing bool, bu
 	var tr *obs.Trace
 	if tracePath != "" || timing {
 		tr = obs.NewTrace()
-		if tracePath != "" && budget == 0 && naimLevel == "" {
-			// Diagnostic default: exercise the loader so the trace
-			// shows NAIM activity (see package comment). A single-slot
-			// cache guarantees compact/expand churn even on two-function
-			// programs. Deterministic contract: generated code is
-			// unaffected by NAIM level.
-			ncfg.ForceLevel = naim.LevelIR
-			ncfg.CacheSlots = 1
-		}
 	}
 
 	opt := cmo.Options{

@@ -254,14 +254,17 @@ type BuildStats struct {
 	// came back empty; stores are artifacts written back; drops are
 	// write-backs shed by the bounded backlog or an open breaker;
 	// errors count failed requests (each one degraded to a local
-	// miss). When one session serves concurrent builds the figures are
-	// attributed by before/after snapshots, so overlapping builds may
-	// split each other's traffic — totals across builds stay exact.
+	// miss); shed counts requests a service at capacity refused with
+	// 429 (misses that never feed the breaker). When one session
+	// serves concurrent builds the figures are attributed by
+	// before/after snapshots, so overlapping builds may split each
+	// other's traffic — totals across builds stay exact.
 	CacheRemoteHits   int
 	CacheRemoteMisses int
 	CacheRemoteStores int
 	CacheRemoteDrops  int
 	CacheRemoteErrors int
+	CacheRemoteShed   int
 
 	// Dependency-graph outcome (graph-scheduled session builds).
 	// GraphNodes/GraphEdges snapshot the loaded graph after this

@@ -43,6 +43,7 @@ type ClientStats struct {
 	Hits       int64 // remote gets that returned bytes
 	Misses     int64 // remote gets answered 404 (healthy misses)
 	Errors     int64 // requests that failed (network, timeout, 5xx)
+	Shed       int64 // requests the service refused at capacity (429)
 	Stores     int64 // blobs written back (201/200)
 	StoreSkips int64 // write-backs skipped because the remote had the key
 	StoreDrops int64 // write-backs dropped (queue full, breaker open, closed)
@@ -58,6 +59,7 @@ func (s ClientStats) Sub(prev ClientStats) ClientStats {
 		Hits:         s.Hits - prev.Hits,
 		Misses:       s.Misses - prev.Misses,
 		Errors:       s.Errors - prev.Errors,
+		Shed:         s.Shed - prev.Shed,
 		Stores:       s.Stores - prev.Stores,
 		StoreSkips:   s.StoreSkips - prev.StoreSkips,
 		StoreDrops:   s.StoreDrops - prev.StoreDrops,
@@ -92,7 +94,11 @@ type Client struct {
 	consecFails atomic.Int64
 	downUntil   atomic.Int64 // unix nanos; breaker open until then
 
-	hits, misses, errors     atomic.Int64
+	hits, misses, errors atomic.Int64
+	// shed counts 429s: the service is healthy but at capacity, which
+	// is neither a fault nor proof of health, so the breaker's count is
+	// left as it was and the request is simply a miss.
+	shed                     atomic.Int64
 	stores, skips, drops     atomic.Int64
 	trips                    atomic.Int64
 	bytesFetched, bytesAdded atomic.Int64
@@ -208,6 +214,9 @@ func (c *Client) Get(key string) ([]byte, bool) {
 		c.ok()
 		c.misses.Add(1)
 		return nil, false
+	case http.StatusTooManyRequests:
+		c.shed.Add(1)
+		return nil, false
 	default:
 		c.fail()
 		return nil, false
@@ -278,8 +287,11 @@ func (c *Client) headHas(key string) bool {
 		c.ok()
 		return true
 	}
-	if resp.StatusCode == http.StatusNotFound {
+	switch resp.StatusCode {
+	case http.StatusNotFound:
 		c.ok()
+	case http.StatusTooManyRequests:
+		c.shed.Add(1)
 	}
 	return false
 }
@@ -324,6 +336,8 @@ func (c *Client) put(key string, blob []byte) {
 		c.ok()
 		c.stores.Add(1)
 		c.bytesAdded.Add(int64(len(blob)))
+	case http.StatusTooManyRequests:
+		c.shed.Add(1)
 	default:
 		c.fail()
 	}
@@ -335,6 +349,7 @@ func (c *Client) Stats() ClientStats {
 		Hits:         c.hits.Load(),
 		Misses:       c.misses.Load(),
 		Errors:       c.errors.Load(),
+		Shed:         c.shed.Load(),
 		Stores:       c.stores.Load(),
 		StoreSkips:   c.skips.Load(),
 		StoreDrops:   c.drops.Load(),

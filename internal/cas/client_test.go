@@ -173,6 +173,49 @@ func TestClientBreaker(t *testing.T) {
 	}
 }
 
+// A 429 from a service at capacity is a shed miss: it neither feeds
+// the breaker nor resets its count of consecutive faults.
+func TestClientShedLeavesBreakerAlone(t *testing.T) {
+	s, _ := newTestService(t, Config{})
+	key := keyFor("shed")
+	if err := s.Put("default", key, []byte("alive")); err != nil {
+		t.Fatal(err)
+	}
+	var status atomic.Int64 // 0 = serve normally
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if code := int(status.Load()); code != 0 {
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, "busy", code)
+			return
+		}
+		Handler(s).ServeHTTP(w, r)
+	}))
+	defer proxy.Close()
+	c := NewClient(proxy.URL, ClientConfig{FailureLimit: 2, Cooldown: time.Minute, Timeout: time.Second})
+	defer c.Close()
+
+	status.Store(http.StatusTooManyRequests)
+	for i := 0; i < 5; i++ {
+		if _, ok := c.Get(key); ok {
+			t.Fatal("shed get hit")
+		}
+	}
+	if st := c.Stats(); st.Shed != 5 || st.Errors != 0 || st.Trips != 0 || c.degraded() {
+		t.Fatalf("five sheds: %+v, degraded=%v", st, c.degraded())
+	}
+	// fault, shed, fault: the shed in between must not reset the
+	// count, so the second fault trips the breaker.
+	status.Store(http.StatusInternalServerError)
+	c.Get(key)
+	status.Store(http.StatusTooManyRequests)
+	c.Get(key)
+	status.Store(http.StatusInternalServerError)
+	c.Get(key)
+	if st := c.Stats(); st.Trips != 1 || st.Errors != 2 || st.Shed != 6 {
+		t.Fatalf("fault, shed, fault: %+v", st)
+	}
+}
+
 // A body corrupted between service and client fails the checksum
 // check and answers as a miss: corrupt bytes can never fill the local
 // repository, and the failure counts toward the breaker rather than

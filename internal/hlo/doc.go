@@ -32,7 +32,10 @@
 //     closure: for every function reachable through call edges, its
 //     name, pre-inline content hash, and scope/selected/defined bits.
 //     Bottom-up inlining makes the caller's outcome a pure function
-//     of exactly that closure.
+//     of exactly that closure. The closure enters the key condensed:
+//     each call-graph SCC is hashed over its name-sorted members and
+//     the keys of the SCCs it calls, computed callee-first in one
+//     pass, and a function's key is its name plus its SCC's key.
 //   - An interproc record's key covers the post-clone body hash plus
 //     every fact the transform consults: the constant-argument
 //     lattice for the parameters, entry/externally-called bits, and

@@ -285,6 +285,7 @@ type pass struct {
 	ipaReplayed map[il.PID]bool      // functions satisfied from a replay record
 	ipaKeys     map[il.PID][2]string // preHash, factsFP captured before gforward
 	ipaDeltas   map[il.PID]*ipaOutcome
+	summaryFPs  map[*ipa.Summary]string // see summaryFP
 }
 
 // Optimize runs the full HLO pipeline over the program.

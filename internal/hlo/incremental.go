@@ -1,7 +1,10 @@
 package hlo
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -23,7 +26,12 @@ import (
 //     that closure (callee post-inline bodies are themselves pure
 //     functions of their sub-closures), so an edit to one module
 //     invalidates exactly the functions whose closure reaches into it:
-//     the dependents. Everything else replays.
+//     the dependents. Everything else replays. The closure is hashed
+//     condensed, once per run: each call-graph SCC gets a SHA-256 over
+//     its own members and the keys of the SCCs it calls, so a caller's
+//     key is its name plus its SCC's key (inlineClosureKeys), and the
+//     whole key set costs one pass over the call graph rather than one
+//     closure walk per function.
 //
 //   - The interproc stage keys on the post-clone body hash plus the
 //     facts it consults: the constant-argument lattice for the
@@ -93,7 +101,7 @@ func b2c(b bool) byte {
 }
 
 // prehashScope computes the pre-inline content hash of every in-scope
-// body, the closure fingerprints' raw material.
+// body, the closure keys' raw material.
 func (p *pass) prehashScope(inc *Incremental) map[il.PID]string {
 	h0 := make(map[il.PID]string)
 	for _, pid := range p.prog.FuncPIDs() {
@@ -108,42 +116,60 @@ func (p *pass) prehashScope(inc *Incremental) map[il.PID]string {
 	return h0
 }
 
-// inlineClosureFP renders the transitive callee closure of root as a
-// stable string: member functions sorted by name, each contributing
-// its name, pre-inline hash, and the bits the inliner consults.
-func (p *pass) inlineClosureFP(root il.PID, h0 map[il.PID]string) string {
-	seen := map[il.PID]bool{root: true}
-	work := []il.PID{root}
-	var members []il.PID
-	for len(work) > 0 {
-		v := work[len(work)-1]
-		work = work[:len(work)-1]
-		members = append(members, v)
-		for _, w := range p.callees[v] {
-			if !seen[w] {
-				seen[w] = true
-				work = append(work, w)
+// inlineClosureKeys gives every selected function its inline-replay
+// key in one bottom-up pass over the call graph's SCCs. Each SCC's key
+// is a SHA-256 over its members sorted by name — each with its name,
+// pre-inline hash, and the bits the inliner consults — followed by the
+// sorted, de-duplicated keys of the SCCs it calls. Tarjan numbers SCCs
+// callee-first, so every callee key exists before its callers need it.
+// The SCC key is thus a Merkle hash of the whole transitive callee
+// closure: it changes exactly when some closure member's name, hash or
+// bits change (edges follow from the hashed bodies), it is independent
+// of PIDs and map order, and the whole map costs one pass over the
+// call graph (plus the name and key sorts) per run.
+func (p *pass) inlineClosureKeys(h0 map[il.PID]string) map[il.PID]string {
+	nscc := 0
+	for _, c := range p.sccOf {
+		nscc = max(nscc, c+1)
+	}
+	members := make([][]il.PID, nscc)
+	for pid, c := range p.sccOf {
+		members[c] = append(members[c], pid)
+	}
+	sccKeys := make([][sha256.Size]byte, nscc)
+	var buf []byte
+	var calls [][sha256.Size]byte
+	for c, ms := range members {
+		sort.Slice(ms, func(i, j int) bool {
+			return p.prog.Sym(ms[i]).Name < p.prog.Sym(ms[j]).Name
+		})
+		buf = binary.AppendUvarint(buf[:0], uint64(len(ms)))
+		calls = calls[:0]
+		for _, m := range ms {
+			sym := p.prog.Sym(m)
+			buf = append(buf, sym.Name...)
+			buf = append(buf, 0)
+			buf = append(buf, h0[m]...)
+			buf = append(buf, 0, b2c(p.scope[m]), b2c(p.selected[m]), b2c(sym.Module >= 0), '\n')
+			for _, w := range p.callees[m] {
+				if d := p.sccOf[w]; d != c {
+					calls = append(calls, sccKeys[d])
+				}
 			}
 		}
+		sort.Slice(calls, func(i, j int) bool { return bytes.Compare(calls[i][:], calls[j][:]) < 0 })
+		for i, k := range calls {
+			if i == 0 || k != calls[i-1] {
+				buf = append(buf, k[:]...)
+			}
+		}
+		sccKeys[c] = sha256.Sum256(buf)
 	}
-	sort.Slice(members, func(i, j int) bool {
-		return p.prog.Sym(members[i]).Name < p.prog.Sym(members[j]).Name
-	})
-	var sb strings.Builder
-	sb.WriteString(p.prog.Sym(root).Name)
-	sb.WriteByte('\n')
-	for _, m := range members {
-		sym := p.prog.Sym(m)
-		sb.WriteString(sym.Name)
-		sb.WriteByte('\x00')
-		sb.WriteString(h0[m])
-		sb.WriteByte('\x00')
-		sb.WriteByte(b2c(p.scope[m]))
-		sb.WriteByte(b2c(p.selected[m]))
-		sb.WriteByte(b2c(sym.Module >= 0))
-		sb.WriteByte('\n')
+	keys := make(map[il.PID]string, len(p.selected))
+	for pid := range p.selected {
+		keys[pid] = p.prog.Sym(pid).Name + "\n" + hex.EncodeToString(sccKeys[p.sccOf[pid]][:])
 	}
-	return sb.String()
+	return keys
 }
 
 // inlineRecOp is one replayed inline operation.
@@ -259,9 +285,8 @@ func decodeInlineRecord(blob []byte) (changed bool, body []byte, ops []inlineRec
 // cached record. It returns true when the record was applied: the
 // caller's post-inline body is installed and every statistic the live
 // path would have produced is reproduced.
-func (p *pass) replayInline(inc *Incremental, caller il.PID, h0 map[il.PID]string) bool {
-	fp := p.inlineClosureFP(caller, h0)
-	blob, ok := inc.Load("hlo/inline", inc.OptionsFP, fp)
+func (p *pass) replayInline(inc *Incremental, caller il.PID, key string) bool {
+	blob, ok := inc.Load("hlo/inline", inc.OptionsFP, key)
 	if !ok {
 		return false
 	}
@@ -313,7 +338,7 @@ func (p *pass) replayInline(inc *Incremental, caller il.PID, h0 map[il.PID]strin
 }
 
 // storeInlineRecord persists one caller's inline-stage outcome.
-func (p *pass) storeInlineRecord(inc *Incremental, caller il.PID, h0 map[il.PID]string, changed bool, ops []InlineOp) {
+func (p *pass) storeInlineRecord(inc *Incremental, caller il.PID, key string, changed bool, ops []InlineOp) {
 	f := p.src.Function(caller)
 	if f == nil {
 		return
@@ -331,8 +356,7 @@ func (p *pass) storeInlineRecord(inc *Incremental, caller il.PID, h0 map[il.PID]
 			instrs: int64(op.Instrs),
 		}
 	}
-	fp := p.inlineClosureFP(caller, h0)
-	inc.Store("hlo/inline", encodeInlineRecord(changed, body, recOps), inc.OptionsFP, fp)
+	inc.Store("hlo/inline", encodeInlineRecord(changed, body, recOps), inc.OptionsFP, key)
 	p.res.Stats.ReplayMisses++
 }
 

@@ -17,9 +17,9 @@ import (
 // same pair of modules are processed one after another").
 func (p *pass) inlineAll() {
 	inc := p.incremental()
-	var h0 map[il.PID]string
+	var keys map[il.PID]string
 	if inc != nil {
-		h0 = p.prehashScope(inc)
+		keys = p.inlineClosureKeys(p.prehashScope(inc))
 	}
 	for _, pid := range p.bottomUp() {
 		if !p.selected[pid] {
@@ -28,13 +28,13 @@ func (p *pass) inlineAll() {
 		if p.canceled() {
 			return
 		}
-		if inc != nil && p.replayInline(inc, pid, h0) {
+		if inc != nil && p.replayInline(inc, pid, keys[pid]) {
 			continue
 		}
 		opsBefore := len(p.res.InlineOps)
 		changed := p.inlineFunction(pid)
 		if inc != nil {
-			p.storeInlineRecord(inc, pid, h0, changed, p.res.InlineOps[opsBefore:])
+			p.storeInlineRecord(inc, pid, keys[pid], changed, p.res.InlineOps[opsBefore:])
 		}
 	}
 }

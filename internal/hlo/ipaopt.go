@@ -375,7 +375,7 @@ func (p *pass) ipaFactsFP(f *il.Function) string {
 				sb.WriteString(p.prog.Sym(in.Sym).Name)
 				sb.WriteByte('\x00')
 				if s := p.summaries[in.Sym]; s != nil {
-					sb.WriteString(s.Fingerprint(p.prog))
+					sb.WriteString(p.summaryFP(s))
 				} else {
 					sb.WriteString("⊤")
 				}
@@ -394,6 +394,22 @@ func (p *pass) ipaFactsFP(f *il.Function) string {
 		}
 	}
 	return sb.String()
+}
+
+// summaryFP memoizes Summary.Fingerprint for one run: every caller of
+// a function consults the same summary, and clones share their
+// original's. Keying on the pointer is sound because summaries are
+// immutable once ipa.Analyze returns; HLO only adds map entries.
+func (p *pass) summaryFP(s *ipa.Summary) string {
+	fp, ok := p.summaryFPs[s]
+	if !ok {
+		if p.summaryFPs == nil {
+			p.summaryFPs = make(map[*ipa.Summary]string)
+		}
+		fp = s.Fingerprint(p.prog)
+		p.summaryFPs[s] = fp
+	}
+	return fp
 }
 
 const ipaRecMagic = 0xC3

@@ -19,9 +19,11 @@ import (
 // exactly as if the service died), and at most CASSlots requests are
 // served concurrently — the pool is separate from build admission so
 // a daemon building for one tenant while serving another tenant's
-// cache can never deadlock itself. A full pool also answers 503: for
-// the client that is one more absorbed miss, and refusing is how the
-// daemon keeps cache traffic from starving builds.
+// cache can never deadlock itself. A full pool answers 429 with
+// Retry-After and counts the shed (cmod_cas_shed_total): overload is
+// not a fault, so for the client it is a miss that leaves its breaker
+// alone, and refusing is how the daemon keeps cache traffic from
+// starving builds.
 func (s *Server) mountCAS(store *cas.Store) {
 	inner := cas.Handler(store)
 	s.mux.Handle("/cas/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -40,7 +42,9 @@ func (s *Server) mountCAS(store *cas.Store) {
 		select {
 		case s.casSlots <- struct{}{}:
 		default:
-			http.Error(w, "cas: server is at capacity", http.StatusServiceUnavailable)
+			s.casShed.Add(1)
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, "cas: server is at capacity", http.StatusTooManyRequests)
 			return
 		}
 		defer func() { <-s.casSlots }()
@@ -84,6 +88,8 @@ func (s *Server) initCASTelemetry(store *cas.Store) {
 	r.Gauge("cmod_cas_bytes", sample(func(st cas.Stats) float64 { return float64(st.LiveBytes) }))
 	r.SetHelp("cmod_cas_blobs", "CAS blobs currently held.")
 	r.Gauge("cmod_cas_blobs", sample(func(st cas.Stats) float64 { return float64(st.Blobs) }))
+	r.SetHelp("cmod_cas_shed_total", "CAS requests refused with 429 because every CAS slot was busy.")
+	r.Gauge("cmod_cas_shed_total", func() float64 { return float64(s.casShed.Load()) })
 	r.SetHelp("cmod_cas_max_bytes", "Configured CAS disk cap.")
 	r.Gauge("cmod_cas_max_bytes", func() float64 { return float64(store.MaxBytes()) })
 }

@@ -157,6 +157,7 @@ type Server struct {
 	extraJobs    chan struct{}
 	backendSlots chan struct{}
 	casSlots     chan struct{}
+	casShed      atomic.Int64 // /cas requests refused at capacity
 
 	mu       sync.Mutex
 	sessions map[string]*sessionEntry

@@ -127,6 +127,7 @@ func (s *BuildStats) setRemote(d cas.ClientStats) {
 	s.CacheRemoteStores = int(d.Stores)
 	s.CacheRemoteDrops = int(d.StoreDrops)
 	s.CacheRemoteErrors = int(d.Errors)
+	s.CacheRemoteShed = int(d.Shed)
 }
 
 // BuildIL compiles an already-lowered program (from BuildSource's

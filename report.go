@@ -176,6 +176,9 @@ func (b *Build) TimingReport() string {
 		if s.CacheRemoteDrops > 0 {
 			fmt.Fprintf(&sb, ", %d dropped", s.CacheRemoteDrops)
 		}
+		if s.CacheRemoteShed > 0 {
+			fmt.Fprintf(&sb, ", %d shed (service at capacity)", s.CacheRemoteShed)
+		}
 		if s.CacheRemoteErrors > 0 {
 			fmt.Fprintf(&sb, ", %d errors (degraded to local)", s.CacheRemoteErrors)
 		}
