@@ -37,6 +37,13 @@ type ClientConfig struct {
 	Token string
 }
 
+// maxIdleConns is how many idle connections to the service a client
+// keeps for reuse. It must cover every goroutine that calls the client
+// at once — a build's Jobs workers plus the write-back worker — or the
+// surplus requests each close their connection and the next ones dial
+// again (http.DefaultTransport keeps 2 per host).
+const maxIdleConns = 64
+
 // ClientStats is a point-in-time snapshot of a Client's cumulative
 // counters. Sub computes the delta one build contributed.
 type ClientStats struct {
@@ -83,6 +90,7 @@ type wbItem struct {
 type Client struct {
 	base string
 	ns   string
+	tr   *http.Transport
 	hc   *http.Client
 	cfg  ClientConfig
 
@@ -122,10 +130,17 @@ func NewClient(base string, cfg ClientConfig) *Client {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 15 * time.Second
 	}
+	tr := &http.Transport{}
+	if dt, ok := http.DefaultTransport.(*http.Transport); ok {
+		tr = dt.Clone()
+	}
+	tr.MaxIdleConns = maxIdleConns
+	tr.MaxIdleConnsPerHost = maxIdleConns
 	c := &Client{
 		base:  cleanBase(base),
 		ns:    cfg.Namespace,
-		hc:    &http.Client{Timeout: cfg.Timeout},
+		tr:    tr,
+		hc:    &http.Client{Timeout: cfg.Timeout, Transport: tr},
 		cfg:   cfg,
 		queue: make(chan wbItem, cfg.QueueDepth),
 	}
@@ -190,7 +205,7 @@ func (c *Client) Get(key string) ([]byte, bool) {
 		c.fail()
 		return nil, false
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	switch resp.StatusCode {
 	case http.StatusOK:
 		blob, err := io.ReadAll(resp.Body)
@@ -281,8 +296,7 @@ func (c *Client) headHas(key string) bool {
 		c.fail()
 		return false
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	drainClose(resp.Body)
 	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified {
 		c.ok()
 		return true
@@ -329,8 +343,7 @@ func (c *Client) put(key string, blob []byte) {
 		c.fail()
 		return
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	drainClose(resp.Body)
 	switch resp.StatusCode {
 	case http.StatusCreated, http.StatusOK:
 		c.ok()
@@ -372,4 +385,13 @@ func (c *Client) Close() {
 	close(c.queue)
 	c.mu.Unlock()
 	c.wg.Wait()
+	c.tr.CloseIdleConnections()
+}
+
+// drainClose reads what is left of a response body (a 404's message,
+// say) before closing it: the transport reuses a connection only
+// after its body was read to the end.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, 64<<10))
+	body.Close()
 }

@@ -2,8 +2,10 @@ package cas
 
 import (
 	"bytes"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -278,5 +280,62 @@ func TestClientUnreachableService(t *testing.T) {
 	}
 	if st.Hits != 0 || st.Stores != 0 {
 		t.Fatalf("phantom traffic: %+v", st)
+	}
+}
+
+// TestClientReusesConnections: a burst of concurrent GETs, hits and
+// 404 misses alike, from more goroutines than http.DefaultTransport
+// keeps idle per host (2) opens about one connection per goroutine and
+// then reuses them, instead of dialing again for every request beyond
+// the second.
+func TestClientReusesConnections(t *testing.T) {
+	s, err := OpenStore(t.TempDir(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opened atomic.Int64
+	srv := httptest.NewUnstartedServer(Handler(s))
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(func() { srv.Close(); s.Close() })
+
+	hit := keyFor("reuse-hit")
+	if err := s.Put("ns1", hit, blobOf("reuse-hit", 512)); err != nil {
+		t.Fatal(err)
+	}
+	miss := keyFor("reuse-miss")
+	c := NewClient(srv.URL, ClientConfig{Namespace: "ns1"})
+	defer c.Close()
+
+	const workers, rounds = 8, 6
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				key := hit
+				if w%2 == 1 {
+					key = miss
+				}
+				c.Get(key)
+			}(w)
+		}
+		wg.Wait()
+		// Let the transport return the connections to its idle pool.
+		time.Sleep(10 * time.Millisecond)
+	}
+	st := c.Stats()
+	if st.Hits != workers/2*rounds || st.Misses != workers/2*rounds || st.Errors != 0 {
+		t.Fatalf("stats %+v: want %d hits, %d misses, no errors", st, workers/2*rounds, workers/2*rounds)
+	}
+	// One connection per concurrent request at most, plus slack for a
+	// dial that raced a connection going idle.
+	if n := opened.Load(); n > workers+2 {
+		t.Errorf("%d requests opened %d connections, want at most %d", workers*rounds, n, workers+2)
 	}
 }

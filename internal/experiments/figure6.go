@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	cmo "cmo"
@@ -46,14 +47,18 @@ func Figure6(cfg Config) ([]Fig6Point, error) {
 	}
 
 	percents := []float64{0, 1, 2, 5, 10, 20, 40, 70, 100}
-	var points []Fig6Point
-	var baseCycles int64
-	for _, pct := range percents {
-		// Best-of-3 wall time: build timing is the one
-		// non-deterministic measurement in the sweep.
-		var b *cmo.Build
-		var bestNanos int64
-		for rep := 0; rep < 3; rep++ {
+	// Best-of-5 wall time per point, with the repetitions interleaved
+	// across the sweep: build timing is the one non-deterministic
+	// measurement in it, and a burst of load from elsewhere then slows
+	// one repetition of every point instead of every repetition of one
+	// point. A tiny-configuration build takes a fraction of a second,
+	// so such a burst can cover all of one point's repetitions.
+	best := make([]*cmo.Build, len(percents))
+	for rep := 0; rep < 5; rep++ {
+		for i, pct := range percents {
+			// Start every build from a collected heap, so no build pays
+			// for the garbage of the one before it.
+			runtime.GC()
 			nb, err := cmo.BuildSource(mods, cmo.Options{
 				Level: cmo.O4, PBO: true, DB: db, SelectPercent: pct,
 				Volatile: workload.InputGlobals(),
@@ -61,11 +66,16 @@ func Figure6(cfg Config) ([]Fig6Point, error) {
 			if err != nil {
 				return nil, fmt.Errorf("figure6 %.0f%%: %w", pct, err)
 			}
-			if b == nil || nb.Stats.TotalNanos < bestNanos {
-				b = nb
-				bestNanos = nb.Stats.TotalNanos
+			if best[i] == nil || nb.Stats.TotalNanos < best[i].Stats.TotalNanos {
+				best[i] = nb
 			}
 		}
+	}
+	var points []Fig6Point
+	var baseCycles int64
+	for i, pct := range percents {
+		b := best[i]
+		bestNanos := b.Stats.TotalNanos
 		rr, err := b.Run(refInputs(p.Spec), 0)
 		if err != nil {
 			return nil, fmt.Errorf("figure6 run %.0f%%: %w", pct, err)

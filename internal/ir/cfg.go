@@ -6,7 +6,12 @@
 // never kept incrementally up to date or persisted in the relocatable
 // form. The NAIM compactor simply drops these structures, which is
 // where most of the 2/3 space saving of compaction comes from
-// (paper section 4.2.2).
+// (paper section 4.2.2). Recomputing is not reallocating: CFG.Rebuild
+// and Liveness.Rebuild recompute into the storage of an earlier
+// result, so a pass that re-derives an analysis every round (DCE's
+// fixpoint) reuses one set of arrays for the whole pass. The data is
+// still derived afresh each time and never persisted; only the
+// storage is reused.
 package ir
 
 import "cmo/internal/il"
@@ -19,69 +24,123 @@ type CFG struct {
 	RPO []int32
 	// Reach[i] reports whether block i is reachable from entry.
 	Reach []bool
+
+	// Flat backing storage of the edge lists and the DFS stack, kept
+	// for Rebuild.
+	succBuf, predBuf, npred []int32
+	stack                   []dfsFrame
 }
+
+type dfsFrame struct{ b, si int32 }
 
 // BuildCFG computes the control-flow graph of f.
 func BuildCFG(f *il.Function) *CFG {
+	c := new(CFG)
+	c.Rebuild(f)
+	return c
+}
+
+// Rebuild recomputes c as the control-flow graph of f, reusing the
+// storage of c's previous contents: slices taken from c before the
+// call are overwritten. Edge lists with no edges are nil, and a Br
+// whose two targets are equal has one successor.
+func (c *CFG) Rebuild(f *il.Function) {
 	n := len(f.Blocks)
-	c := &CFG{
-		Succs: make([][]int32, n),
-		Preds: make([][]int32, n),
-		Reach: make([]bool, n),
-	}
+	c.Succs = resize(c.Succs, n)
+	c.Preds = resize(c.Preds, n)
+	c.Reach = resize(c.Reach, n)
+	clear(c.Reach)
+	c.succBuf = resize(c.succBuf, 2*n)
+	ne := 0
 	for i, b := range f.Blocks {
+		start := ne
 		switch b.Term().Op {
 		case il.Jmp:
-			c.Succs[i] = []int32{b.T}
+			c.succBuf[ne] = b.T
+			ne++
 		case il.Br:
-			if b.T == b.F {
-				c.Succs[i] = []int32{b.T}
-			} else {
-				c.Succs[i] = []int32{b.T, b.F}
+			c.succBuf[ne] = b.T
+			ne++
+			if b.F != b.T {
+				c.succBuf[ne] = b.F
+				ne++
 			}
-		case il.Ret:
-			// no successors
 		}
+		c.Succs[i] = edgeList(c.succBuf, start, ne)
 	}
-	// DFS postorder from entry.
-	var post []int32
-	state := make([]uint8, n) // 0 unvisited, 1 on stack, 2 done
-	type frame struct {
-		b  int32
-		si int
-	}
-	stack := []frame{{0, 0}}
-	state[0] = 1
+
+	// DFS postorder from entry, written into RPO and reversed in place.
+	post := resize(c.RPO, n)[:0]
+	stack := append(resize(c.stack, n)[:0], dfsFrame{0, 0})
 	c.Reach[0] = true
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
-		if top.si < len(c.Succs[top.b]) {
-			s := c.Succs[top.b][top.si]
+		if succs := c.Succs[top.b]; int(top.si) < len(succs) {
+			s := succs[top.si]
 			top.si++
-			if state[s] == 0 {
-				state[s] = 1
+			if !c.Reach[s] {
 				c.Reach[s] = true
-				stack = append(stack, frame{s, 0})
+				stack = append(stack, dfsFrame{s, 0})
 			}
 			continue
 		}
-		state[top.b] = 2
 		post = append(post, top.b)
 		stack = stack[:len(stack)-1]
 	}
-	c.RPO = make([]int32, len(post))
-	for i, b := range post {
-		c.RPO[len(post)-1-i] = b
+	for l, r := 0, len(post)-1; l < r; l, r = l+1, r-1 {
+		post[l], post[r] = post[r], post[l]
 	}
+	c.RPO, c.stack = post, stack
+
+	// Predecessors of reachable blocks, in ascending block order:
+	// count, then place each list at its prefix-sum offset.
+	c.npred = resize(c.npred, n+1)
+	clear(c.npred)
 	for i := range f.Blocks {
-		if !c.Reach[i] {
-			continue
-		}
-		for _, s := range c.Succs[i] {
-			c.Preds[s] = append(c.Preds[s], int32(i))
+		if c.Reach[i] {
+			for _, s := range c.Succs[i] {
+				c.npred[s+1]++
+			}
 		}
 	}
-	return c
+	for i := 1; i <= n; i++ {
+		c.npred[i] += c.npred[i-1]
+	}
+	c.predBuf = resize(c.predBuf, int(c.npred[n]))
+	for i := range f.Blocks {
+		if c.Reach[i] {
+			for _, s := range c.Succs[i] {
+				c.predBuf[c.npred[s]] = int32(i)
+				c.npred[s]++
+			}
+		}
+	}
+	// npred[s] now holds the end of s's list, which is where the list
+	// of s+1 starts.
+	start := 0
+	for s := 0; s < n; s++ {
+		end := int(c.npred[s])
+		c.Preds[s] = edgeList(c.predBuf, start, end)
+		start = end
+	}
+}
+
+// edgeList returns buf[start:end] with its capacity capped, or nil
+// when empty, matching the lists BuildCFG has always returned.
+func edgeList(buf []int32, start, end int) []int32 {
+	if start == end {
+		return nil
+	}
+	return buf[start:end:end]
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// is too small. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Dominators holds the immediate-dominator tree computed by the
@@ -178,8 +237,11 @@ type LoopInfo struct {
 func BuildLoops(c *CFG, d *Dominators) *LoopInfo {
 	n := len(c.Succs)
 	li := &LoopInfo{Depth: make([]int, n)}
-	bodyByHeader := make(map[int32]map[int32]bool)
+	// bodyOf[h] is 1 + the index of header h in headers, or 0.
+	bodyOf := make([]int32, n)
 	var headers []int32
+	var bodies [][]bool
+	var stack []int32
 	for b := int32(0); b < int32(n); b++ {
 		if !c.Reach[b] {
 			continue
@@ -188,14 +250,16 @@ func BuildLoops(c *CFG, d *Dominators) *LoopInfo {
 			if !d.Dominates(h, b) {
 				continue
 			}
-			body, ok := bodyByHeader[h]
-			if !ok {
-				body = map[int32]bool{h: true}
-				bodyByHeader[h] = body
+			if bodyOf[h] == 0 {
+				body := make([]bool, n)
+				body[h] = true
 				headers = append(headers, h)
+				bodies = append(bodies, body)
+				bodyOf[h] = int32(len(bodies))
 			}
+			body := bodies[bodyOf[h]-1]
 			// Walk predecessors backward from the latch.
-			stack := []int32{b}
+			stack = append(stack[:0], b)
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -203,20 +267,17 @@ func BuildLoops(c *CFG, d *Dominators) *LoopInfo {
 					continue
 				}
 				body[x] = true
-				for _, p := range c.Preds[x] {
-					stack = append(stack, p)
-				}
+				stack = append(stack, c.Preds[x]...)
 			}
 		}
 	}
 	// headers were appended in ascending block order scan; keep that
 	// order deterministic.
-	for _, h := range headers {
-		body := bodyByHeader[h]
+	for i, h := range headers {
 		loop := Loop{Header: h}
-		for b := int32(0); b < int32(n); b++ {
-			if body[b] {
-				loop.Blocks = append(loop.Blocks, b)
+		for b, in := range bodies[i] {
+			if in {
+				loop.Blocks = append(loop.Blocks, int32(b))
 				li.Depth[b]++
 			}
 		}

@@ -1,6 +1,10 @@
 package ir
 
-import "cmo/internal/il"
+import (
+	"math/bits"
+
+	"cmo/internal/il"
+)
 
 // RegSet is a dense bitset over a function's virtual registers.
 type RegSet []uint64
@@ -51,6 +55,14 @@ type Liveness struct {
 	// weighted by block frequency when profiles are attached
 	// (used by the register allocator's spill heuristic).
 	UseCount []int64
+
+	// Per-block upward-exposed uses and definitions, the set headers
+	// and the one word array all four families of sets live in, kept
+	// for Rebuild.
+	use, def []RegSet
+	sets     []RegSet
+	words    []uint64
+	order    []int32
 }
 
 // instrUses visits the registers read by an instruction.
@@ -73,19 +85,30 @@ func instrDef(in *il.Instr) il.Reg { return in.Dst }
 // BuildLiveness computes classic backward liveness over the CFG.
 // Parameters (registers 1..NParams) are treated as defined at entry.
 func BuildLiveness(f *il.Function, c *CFG) *Liveness {
+	lv := new(Liveness)
+	lv.Rebuild(f, c)
+	return lv
+}
+
+// Rebuild recomputes lv as the liveness of f over c (which must be
+// f's current CFG), reusing the storage of lv's previous contents:
+// sets and counts taken from lv before the call are overwritten.
+// Only blocks reachable in c get non-empty sets.
+func (lv *Liveness) Rebuild(f *il.Function, c *CFG) {
 	n := len(f.Blocks)
-	lv := &Liveness{
-		In:       make([]RegSet, n),
-		Out:      make([]RegSet, n),
-		UseCount: make([]int64, f.NRegs),
+	nw := (int(f.NRegs) + 63) / 64
+	lv.words = resize(lv.words, 4*n*nw)
+	clear(lv.words)
+	lv.sets = resize(lv.sets, 4*n)
+	for i := range lv.sets {
+		lv.sets[i] = RegSet(lv.words[i*nw : (i+1)*nw : (i+1)*nw])
 	}
-	use := make([]RegSet, n)
-	def := make([]RegSet, n)
+	lv.In, lv.Out, lv.use, lv.def = lv.sets[:n:n], lv.sets[n:2*n:2*n], lv.sets[2*n:3*n:3*n], lv.sets[3*n:]
+	lv.UseCount = resize(lv.UseCount, int(f.NRegs))
+	clear(lv.UseCount)
+
 	for i, b := range f.Blocks {
-		lv.In[i] = NewRegSet(f.NRegs)
-		lv.Out[i] = NewRegSet(f.NRegs)
-		use[i] = NewRegSet(f.NRegs)
-		def[i] = NewRegSet(f.NRegs)
+		use, def := lv.use[i], lv.def[i]
 		w := int64(1)
 		if b.Freq > 0 {
 			w = b.Freq
@@ -94,22 +117,23 @@ func BuildLiveness(f *il.Function, c *CFG) *Liveness {
 			in := &b.Instrs[ii]
 			instrUses(in, func(r il.Reg) {
 				lv.UseCount[r] += w
-				if !def[i].Has(r) {
-					use[i].Add(r)
+				if !def.Has(r) {
+					use.Add(r)
 				}
 			})
 			if d := instrDef(in); d != 0 {
-				def[i].Add(d)
+				def.Add(d)
 			}
 		}
 	}
 	// Iterate to fixed point, visiting blocks in reverse RPO for
-	// fast convergence.
-	order := make([]int32, len(c.RPO))
-	copy(order, c.RPO)
-	for l, r := 0, len(order)-1; l < r; l, r = l+1, r-1 {
-		order[l], order[r] = order[r], order[l]
+	// fast convergence. The transfer is word-wide:
+	// in |= use | out &^ def.
+	order := resize(lv.order, len(c.RPO))
+	for i, b := range c.RPO {
+		order[len(order)-1-i] = b
 	}
+	lv.order = order
 	for changed := true; changed; {
 		changed = false
 		for _, b := range order {
@@ -119,20 +143,15 @@ func BuildLiveness(f *il.Function, c *CFG) *Liveness {
 					changed = true
 				}
 			}
-			// in = use ∪ (out − def)
-			newIn := out.Clone()
-			for r := il.Reg(1); r < f.NRegs; r++ {
-				if def[b].Has(r) {
-					newIn.Remove(r)
+			in, use, def := lv.In[b], lv.use[b], lv.def[b]
+			for k := range in {
+				if nv := in[k] | use[k] | out[k]&^def[k]; nv != in[k] {
+					in[k] = nv
+					changed = true
 				}
-			}
-			newIn.UnionInto(use[b])
-			if lv.In[b].UnionInto(newIn) {
-				changed = true
 			}
 		}
 	}
-	return lv
 }
 
 // Intervals computes a linearized live interval for every register
@@ -195,14 +214,23 @@ func BuildIntervals(f *il.Function, c *CFG, lv *Liveness, order []int32, weights
 	}
 	// Extend intervals to cover whole blocks where a register is
 	// live-in or live-out, so loop-carried values stay allocated.
+	// Only the registers in either set are visited; touch is order
+	// independent.
 	for _, bi := range order {
-		for r := il.Reg(1); r < f.NRegs; r++ {
-			if lv.In[bi].Has(r) {
-				touch(r, blockStart[bi], 0)
-			}
-			if lv.Out[bi].Has(r) {
-				touch(r, blockEnd[bi], 0)
-				touch(r, blockStart[bi], 0)
+		in, out := lv.In[bi], lv.Out[bi]
+		for k := range in {
+			for w := in[k] | out[k]; w != 0; w &= w - 1 {
+				r := il.Reg(k*64 + bits.TrailingZeros64(w))
+				if r == 0 || r >= f.NRegs {
+					continue
+				}
+				if in.Has(r) {
+					touch(r, blockStart[bi], 0)
+				}
+				if out.Has(r) {
+					touch(r, blockEnd[bi], 0)
+					touch(r, blockStart[bi], 0)
+				}
 			}
 		}
 	}

@@ -26,35 +26,50 @@ func isRemovable(in *il.Instr) bool {
 // a fixed point. Nop instructions are removed unconditionally. It
 // reports whether anything was deleted.
 func DCE(f *il.Function) bool {
+	s := getScratch()
+	defer scratchPool.Put(s)
+	return s.dce(f)
+}
+
+// dce is DCE over s's storage. It never deletes or changes a
+// terminator, so f's CFG is the same in every round: it is built once
+// per call, and each round re-solves liveness into the same sets. A
+// round deletes against the liveness solved before it, exactly as
+// rebuilding everything per round would; iterated liveness DCE is
+// confluent, so the fixed point is the same either way.
+func (s *scratch) dce(f *il.Function) bool {
+	s.cfg.Rebuild(f)
 	any := false
 	for {
-		c := ir.BuildCFG(f)
-		lv := ir.BuildLiveness(f, c)
+		s.lv.Rebuild(f, &s.cfg)
+		live := ir.RegSet(grow(s.live, len(s.lv.Out[0])))
+		s.live = live
 		changed := false
 		for bi, b := range f.Blocks {
-			live := lv.Out[bi].Clone()
-			// Walk backward, deleting dead removable defs.
-			keep := b.Instrs[:0]
-			// Collect kept instructions in reverse, then un-reverse.
-			var kept []il.Instr
+			copy(live, s.lv.Out[bi])
+			// Walk backward, deleting dead removable defs and packing
+			// the kept instructions against the end of the block.
+			w := len(b.Instrs)
 			for ii := len(b.Instrs) - 1; ii >= 0; ii-- {
-				in := b.Instrs[ii]
-				dead := in.Op == il.Nop ||
-					(in.Dst != 0 && !live.Has(in.Dst) && isRemovable(&in))
-				if dead {
+				in := &b.Instrs[ii]
+				if in.Op == il.Nop || (in.Dst != 0 && !live.Has(in.Dst) && isRemovable(in)) {
 					changed = true
 					continue
 				}
 				if in.Dst != 0 {
 					live.Remove(in.Dst)
 				}
-				visitUses(&in, func(r il.Reg) { live.Add(r) })
-				kept = append(kept, in)
+				visitUses(in, func(r il.Reg) { live.Add(r) })
+				w--
+				if w != ii {
+					b.Instrs[w] = *in
+				}
 			}
-			for i := len(kept) - 1; i >= 0; i-- {
-				keep = append(keep, kept[i])
+			if w > 0 {
+				n := copy(b.Instrs, b.Instrs[w:])
+				clear(b.Instrs[n:])
+				b.Instrs = b.Instrs[:n]
 			}
-			b.Instrs = keep
 		}
 		if !changed {
 			return any

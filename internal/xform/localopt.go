@@ -20,39 +20,71 @@ import (
 // propagation, and algebraic simplification, plus folding of branches
 // on constants. It reports whether anything changed.
 func LocalOptimize(f *il.Function) bool {
+	s := getScratch()
+	defer scratchPool.Put(s)
+	return s.localOptimize(f)
+}
+
+// regFact is what the forward pass over one block knows about a
+// register: the constant it holds or the register it copies. Each
+// fact holds only while its stamp equals the stamp of the block being
+// scanned, so starting a block forgets every fact at once.
+type regFact struct {
+	c          int64
+	src        il.Reg
+	cGen, sGen uint32
+}
+
+func (s *scratch) localOptimize(f *il.Function) bool {
+	if cap(s.facts) < int(f.NRegs) {
+		// Fresh facts carry stamp 0, which no block uses.
+		s.facts = make([]regFact, f.NRegs)
+	}
+	s.facts = s.facts[:f.NRegs]
 	changed := false
 	for _, b := range f.Blocks {
-		changed = optimizeBlock(b) || changed
+		changed = s.optimizeBlock(b) || changed
 	}
 	return changed
 }
 
 // optimizeBlock does one forward pass over a block.
-func optimizeBlock(b *il.Block) bool {
+func (s *scratch) optimizeBlock(b *il.Block) bool {
 	changed := false
-	constOf := make(map[il.Reg]int64)
-	copyOf := make(map[il.Reg]il.Reg)
+	s.gen++
+	if s.gen == 0 {
+		// The stamp wrapped: forget every fact of every earlier block.
+		clear(s.facts[:cap(s.facts)])
+		s.gen = 1
+	}
+	gen, facts := s.gen, s.facts
+	// copies lists exactly the registers with a live copy fact, so
+	// killing a register costs one pass over the live copies.
+	copies := s.copies[:0]
 
 	// kill invalidates facts about a redefined register.
 	kill := func(r il.Reg) {
-		delete(constOf, r)
-		delete(copyOf, r)
-		for d, s := range copyOf {
-			if s == r {
-				delete(copyOf, d)
+		facts[r].cGen, facts[r].sGen = 0, 0
+		w := 0
+		for _, d := range copies {
+			if facts[d].sGen == gen && facts[d].src != r {
+				copies[w] = d
+				w++
+			} else {
+				facts[d].sGen = 0
 			}
 		}
+		copies = copies[:w]
 	}
 	// resolve rewrites an operand using current facts.
 	resolve := func(v il.Value) il.Value {
 		if v.IsConst || v.Reg == 0 {
 			return v
 		}
-		if c, ok := constOf[v.Reg]; ok {
-			return il.ConstVal(c)
-		}
-		if s, ok := copyOf[v.Reg]; ok {
-			return il.RegVal(s)
+		if fa := &facts[v.Reg]; fa.cGen == gen {
+			return il.ConstVal(fa.c)
+		} else if fa.sGen == gen {
+			return il.RegVal(fa.src)
 		}
 		return v
 	}
@@ -79,23 +111,25 @@ func optimizeBlock(b *il.Block) bool {
 		}
 
 		// Update facts.
-		if in.Dst != 0 {
-			kill(in.Dst)
+		if d := in.Dst; d != 0 {
+			kill(d)
 			switch in.Op {
 			case il.Const:
-				constOf[in.Dst] = in.A.Const
+				facts[d].c, facts[d].cGen = in.A.Const, gen
 			case il.Copy:
 				if in.A.IsConst {
 					// Copy of a constant is a Const.
 					in.Op = il.Const
-					constOf[in.Dst] = in.A.Const
+					facts[d].c, facts[d].cGen = in.A.Const, gen
 					changed = true
-				} else if in.A.Reg != in.Dst {
-					copyOf[in.Dst] = in.A.Reg
+				} else if in.A.Reg != d {
+					facts[d].src, facts[d].sGen = in.A.Reg, gen
+					copies = append(copies, d)
 				}
 			}
 		}
 	}
+	s.copies = copies
 	return changed
 }
 

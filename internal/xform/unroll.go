@@ -25,10 +25,16 @@ func UnrollLoops(f *il.Function, budget int) bool {
 		budget = 256
 	}
 	const maxTrips = 16
+	s := getScratch()
+	defer scratchPool.Put(s)
 	changed := false
 	// Loop analysis invalidates after each unroll; iterate.
 	for rounds := 0; rounds < 8; rounds++ {
-		c := ir.BuildCFG(f)
+		if !hasUnrollCandidate(f) {
+			return changed
+		}
+		s.cfg.Rebuild(f)
+		c := &s.cfg
 		d := ir.BuildDominators(c)
 		li := ir.BuildLoops(c, d)
 		did := false
@@ -49,7 +55,7 @@ func UnrollLoops(f *il.Function, budget int) bool {
 			if tryUnroll(f, c, h, l, budget, maxTrips) {
 				changed = true
 				did = true
-				Cleanup(f)
+				s.cleanup(f)
 				break // CFG changed; recompute analyses
 			}
 		}
@@ -60,47 +66,70 @@ func UnrollLoops(f *il.Function, budget int) bool {
 	return changed
 }
 
-// tryUnroll attempts the transformation for one (header, latch) pair.
-func tryUnroll(f *il.Function, c *ir.CFG, h, l int32, budget, maxTrips int) bool {
-	hb, lb := f.Blocks[h], f.Blocks[l]
+// hasUnrollCandidate reports whether some block has the header shape
+// tryUnroll requires. It reads only the blocks themselves, so most
+// functions, which have no such loop, skip the dominator and loop
+// analyses: tryUnroll would reject every loop they have.
+func hasUnrollCandidate(f *il.Function) bool {
+	for h := range f.Blocks {
+		if _, ok := unrollHeader(f, int32(h)); ok {
+			return true
+		}
+	}
+	return false
+}
 
-	// Header: exactly [cmp rI, const; br].
+// unrollHeader reports whether block h is exactly [cmp rI, const; br]
+// whose true edge enters a latch that ends in a jump straight back to
+// h, and returns that latch.
+func unrollHeader(f *il.Function, h int32) (latch int32, ok bool) {
+	hb := f.Blocks[h]
 	if len(hb.Instrs) != 2 {
-		return false
+		return -1, false
 	}
 	cmp, br := &hb.Instrs[0], &hb.Instrs[1]
 	if br.Op != il.Br || br.A.IsConst || br.A.Reg != cmp.Dst {
-		return false
+		return -1, false
 	}
 	switch cmp.Op {
 	case il.Lt, il.Le, il.Gt, il.Ge, il.Ne:
 	default:
-		return false
+		return -1, false
 	}
 	if cmp.A.IsConst || !cmp.B.IsConst {
-		return false
+		return -1, false
 	}
-	rI := cmp.A.Reg
-	if rI == cmp.Dst {
-		return false // compare must not clobber the induction variable
+	if cmp.A.Reg == cmp.Dst {
+		return -1, false // compare must not clobber the induction variable
 	}
-	bound := cmp.B.Const
-	if hb.T != l {
-		return false // loop must continue on true (our lowering shape)
+	// The loop continues on true (our lowering shape) and exits on
+	// false to a third block.
+	l, exit := hb.T, hb.F
+	if l == h || exit == h || exit == l {
+		return -1, false
 	}
-	exit := hb.F
-	if exit == h || exit == l {
-		return false
+	if lb := f.Blocks[l]; lb.Term().Op != il.Jmp || lb.T != h {
+		return -1, false
 	}
+	return l, true
+}
 
-	// Latch: ends in jmp header; must not touch the compare register;
-	// its net effect on rI must be "rI += step" for a constant step,
-	// independent of all other state. We establish that by symbolic
-	// execution over the affine lattice {i + c}: a register is either
-	// "i + c" (for the value of rI at block entry) or opaque.
-	if lb.Term().Op != il.Jmp || lb.T != h {
+// tryUnroll attempts the transformation for one (header, latch) pair.
+func tryUnroll(f *il.Function, c *ir.CFG, h, l int32, budget, maxTrips int) bool {
+	if hl, ok := unrollHeader(f, h); !ok || hl != l {
 		return false
 	}
+	hb, lb := f.Blocks[h], f.Blocks[l]
+	cmp := &hb.Instrs[0]
+	rI := cmp.A.Reg
+	bound := cmp.B.Const
+	exit := hb.F
+
+	// Latch: must not touch the compare register; its net effect on
+	// rI must be "rI += step" for a constant step, independent of all
+	// other state. We establish that by symbolic execution over the
+	// affine lattice {i + c}: a register is either "i + c" (for the
+	// value of rI at block entry) or opaque.
 	type affine struct {
 		known bool
 		c     int64
