@@ -88,8 +88,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "driver mode: durable build repository for incremental rebuilds (warm builds are byte-identical)")
 	server := flag.String("server", "", "send the build to a cmod daemon at this address instead of compiling in-process")
 	partitions := flag.Int("partitions", 0, "driver mode: backend partition count (0 = size-based default; output is identical)")
-	noPartition := flag.Bool("no-partition", false, "driver mode: disable the partitioned backend (per-routine LLO; output is identical)")
-	workers := flag.Int("workers", 0, "driver mode: in-process backend worker pool (0 = -j; output is identical)")
 	remoteWorkers := flag.String("remote-workers", "", "driver mode: comma-separated cmod daemon URLs to farm backend partitions to (failures fall back locally; output is identical)")
 	remoteCache := flag.String("remote-cache", "", "driver mode: shared CAS service URL (cmod -cas-dir) to fill -cache-dir misses from (failures degrade to local-only; output is identical)")
 	remoteNamespace := flag.String("remote-namespace", "", "tenant namespace for -remote-cache requests (default \"default\")")
@@ -114,7 +112,7 @@ func main() {
 		fatalf("invalid -O %d (want 1..4)", *level)
 	}
 
-	be := backendFlags{partitions: *partitions, noPartition: *noPartition, workers: *workers}
+	be := backendFlags{partitions: *partitions}
 	if *remoteWorkers != "" {
 		for _, addr := range strings.Split(*remoteWorkers, ",") {
 			if addr = strings.TrimSpace(addr); addr == "" {
@@ -125,9 +123,6 @@ func main() {
 			}
 			be.remote = append(be.remote, addr)
 		}
-	}
-	if be.noPartition && len(be.remote) > 0 {
-		fatalf("-no-partition is incompatible with -remote-workers (remote workers need the partitioned backend)")
 	}
 	rc := remoteCacheFlags{namespace: *remoteNamespace, token: *remoteToken}
 	if *remoteCache != "" {
@@ -152,7 +147,7 @@ func main() {
 	}
 
 	driver := flag.NArg() > 1 || *tracePath != "" || *timing || *cacheDir != "" ||
-		be.partitions != 0 || be.noPartition || be.workers != 0 || len(be.remote) > 0
+		be.partitions != 0 || len(be.remote) > 0
 	if driver {
 		if !levelSet {
 			*level = 4
@@ -195,10 +190,8 @@ func main() {
 // backendFlags carries the partitioned-backend knobs; none of them
 // change output bytes, only how the LLO stage is executed.
 type backendFlags struct {
-	partitions  int
-	noPartition bool
-	workers     int
-	remote      []string
+	partitions int
+	remote     []string
 }
 
 // remoteCacheFlags carries the shared-cache knobs; like the backend
@@ -245,8 +238,6 @@ func runDriver(paths []string, level int, out, tracePath string, timing bool, bu
 		NAIM:          ncfg,
 		Jobs:          jobs,
 		Partitions:    be.partitions,
-		NoPartition:   be.noPartition,
-		Workers:       be.workers,
 		RemoteWorkers: be.remote,
 		Trace:         tr,
 		CacheDir:      cacheDir,
@@ -307,8 +298,7 @@ func runDriver(paths []string, level int, out, tracePath string, timing bool, bu
 func runRemote(addr string, paths []string, level int, out string, timing bool, jobs int, cacheDir string, be backendFlags) {
 	req := serve.BuildRequest{
 		Level: level, Jobs: jobs, CacheDir: cacheDir,
-		Partitions: be.partitions, NoPartition: be.noPartition,
-		Workers: be.workers, RemoteWorkers: be.remote,
+		Partitions: be.partitions, RemoteWorkers: be.remote,
 	}
 	for _, path := range paths {
 		text, err := os.ReadFile(path)

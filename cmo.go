@@ -108,9 +108,10 @@ type Options struct {
 	// Jobs parallelizes the read-mostly pipeline phases across
 	// goroutines: frontend parsing/checking, selectivity's site
 	// enumeration, out-of-scope fact summaries, per-function
-	// verification, and per-routine code generation — the paper's
-	// section-8 future work on parallelizing the optimizer. Workers
-	// share the concurrency-safe NAIM loader directly. 0 or 1 means
+	// verification, and per-routine code generation (the LLO stage's
+	// local worker pool is Jobs wide) — the paper's section-8 future
+	// work on parallelizing the optimizer. Workers share the
+	// concurrency-safe NAIM loader directly. 0 or 1 means
 	// sequential. Generated code and diagnostics are byte-identical
 	// regardless of Jobs; only wall time and the scheduling-dependent
 	// loader counters (cache hits/misses, lock wait, writeback queue)
@@ -178,21 +179,12 @@ type Options struct {
 	// bytes, only grouping granularity — images are byte-identical
 	// across partition counts.
 	Partitions int
-	// NoPartition disables the partitioned backend: LLO runs the
-	// original per-routine in-process path. The ablation knob for the
-	// differential tests proving partitioned and direct builds are
-	// byte-identical; remote workers require the partitioned path.
-	NoPartition bool
-	// Workers sets the in-process backend worker pool size for the
-	// partitioned LLO stage. 0 means Jobs. Like Jobs, it changes wall
-	// time only, never bytes.
-	Workers int
 	// RemoteWorkers lists cmod daemon base URLs ("http://host:port")
-	// to farm backend partitions to (POST /backend). Local pool and
-	// remote workers pull from one queue; any remote failure falls
-	// back to local compilation, so listing an unreachable worker
-	// costs time, never correctness. Byte-identical to a purely local
-	// build.
+	// to farm backend partitions to (POST /backend). The Jobs-wide
+	// local pool and the remote workers pull from one queue; any
+	// remote failure falls back to local compilation, so listing an
+	// unreachable worker costs time, never correctness. Byte-identical
+	// to a purely local build.
 	RemoteWorkers []string
 	// RemoteTimeout bounds one remote partition attempt (0 =
 	// backend.DefaultTimeout). A deadline that fires moves the
@@ -281,8 +273,8 @@ type BuildStats struct {
 	GraphCriticalPathNanos int64
 	GraphFrontierDepth     int
 	GraphImageReplay       bool
-	// Partitioned-backend outcome (default LLO path; all zero under
-	// NoPartition). Partitions is the partition count this build used;
+	// Partitioned-backend outcome (zero when the build never reached
+	// LLO). Partitions is the partition count this build used;
 	// PartitionsClean were replayed whole from the repository;
 	// PartitionsLocal/PartitionsRemote count dirty partitions by what
 	// executed them; PartitionRetries counts remote failures that fell
@@ -360,7 +352,7 @@ type Build struct {
 	InlineOps []hlo.InlineOp
 	// Partitions describes the backend partitions of this build in
 	// index order: deterministic fingerprints, membership, and how
-	// each was satisfied. nil under Options.NoPartition.
+	// each was satisfied.
 	Partitions []PartitionInfo
 
 	selectedFns map[il.PID]bool

@@ -21,8 +21,9 @@ import (
 // The partitioned backend's load-bearing invariant, tested from
 // outside: partitioning, worker pools, and remote dispatch change how
 // fast (and where) an answer is computed, never the answer. The
-// matrix below demands byte identity across worker counts, partition
-// counts, local vs remote execution, and the NoPartition ablation;
+// matrix below demands byte identity across job counts, partition
+// counts, and local vs remote execution, against a one-partition,
+// one-job build;
 // the fault-injection tests then prove every remote failure mode
 // degrades to a local compile of the same bytes with no pin leaks.
 //
@@ -54,14 +55,26 @@ func distBuild(t *testing.T, mods []cmo.SourceModule, opt cmo.Options) *cmo.Buil
 	opt.Volatile = workload.InputGlobals()
 	b, err := cmo.BuildSource(mods, opt)
 	if err != nil {
-		t.Fatalf("build (partitions=%d workers=%d remote=%d): %v",
-			opt.Partitions, opt.Workers, len(opt.RemoteWorkers), err)
+		t.Fatalf("build (partitions=%d jobs=%d remote=%d): %v",
+			opt.Partitions, opt.Jobs, len(opt.RemoteWorkers), err)
 	}
 	if b.Stats.PinLeaks > 0 {
-		t.Fatalf("build leaked %d loader pins (partitions=%d workers=%d remote=%d)",
-			b.Stats.PinLeaks, opt.Partitions, opt.Workers, len(opt.RemoteWorkers))
+		t.Fatalf("build leaked %d loader pins (partitions=%d jobs=%d remote=%d)",
+			b.Stats.PinLeaks, opt.Partitions, opt.Jobs, len(opt.RemoteWorkers))
 	}
 	return b
+}
+
+// distBaseline is the reference image every distributed configuration
+// must reproduce: one partition compiled by one local job, the LLO
+// stage at its most sequential.
+func distBaseline(t *testing.T, mods []cmo.SourceModule) string {
+	t.Helper()
+	b := distBuild(t, mods, cmo.Options{Partitions: 1, Jobs: 1})
+	if b.Stats.Partitions != 1 || b.Stats.PartitionsLocal != 1 {
+		t.Fatalf("baseline build used %d partitions, %d local", b.Stats.Partitions, b.Stats.PartitionsLocal)
+	}
+	return b.Image.Disasm()
 }
 
 // checkPartitionStats enforces the accounting identity every build
@@ -93,30 +106,26 @@ func newWorkerDaemon(t *testing.T) *httptest.Server {
 }
 
 // TestDistributedByteIdentityMatrix is the tentpole's acceptance
-// matrix: {1,2,4} workers x {1,2,4} partitions x local/remote, every
-// cell byte-identical to the NoPartition ablation.
+// matrix: {1,2,4} jobs x {1,2,4} partitions x local/remote, every
+// cell byte-identical to a one-partition, one-job build.
 func TestDistributedByteIdentityMatrix(t *testing.T) {
 	spec := distSpec(101)
 	mods := distSources(spec)
-	baseline := distBuild(t, mods, cmo.Options{NoPartition: true})
-	if baseline.Stats.Partitions != 0 || len(baseline.Partitions) != 0 {
-		t.Fatalf("NoPartition build reports %d partitions", baseline.Stats.Partitions)
-	}
-	want := baseline.Image.Disasm()
+	want := distBaseline(t, mods)
 
 	worker := newWorkerDaemon(t)
 	remoteTotal := 0
-	for _, workers := range []int{1, 2, 4} {
+	for _, jobs := range []int{1, 2, 4} {
 		for _, parts := range []int{1, 2, 4} {
 			for _, remote := range []bool{false, true} {
-				name := fmt.Sprintf("w%d-p%d-remote%v", workers, parts, remote)
-				opt := cmo.Options{Partitions: parts, Workers: workers}
+				name := fmt.Sprintf("j%d-p%d-remote%v", jobs, parts, remote)
+				opt := cmo.Options{Partitions: parts, Jobs: jobs}
 				if remote {
 					opt.RemoteWorkers = []string{worker.URL}
 				}
 				b := distBuild(t, mods, opt)
 				if got := b.Image.Disasm(); got != want {
-					t.Errorf("%s: image differs from NoPartition baseline", name)
+					t.Errorf("%s: image differs from the one-partition baseline", name)
 				}
 				checkPartitionStats(t, b)
 				if b.Stats.Partitions != parts {
@@ -217,7 +226,7 @@ func TestPartitionAssignmentDeterministic(t *testing.T) {
 	for _, opt := range []cmo.Options{
 		{Partitions: 3, Jobs: 1},
 		{Partitions: 3, Jobs: 4},
-		{Partitions: 3, Jobs: 4, Workers: 2},
+		{Partitions: 3, Jobs: 2},
 	} {
 		runs = append(runs, distBuild(t, mods, opt))
 	}
@@ -256,7 +265,7 @@ func TestPartitionAssignmentDeterministic(t *testing.T) {
 func TestRemoteWorkerFaultInjection(t *testing.T) {
 	spec := distSpec(109)
 	mods := distSources(spec)
-	want := distBuild(t, mods, cmo.Options{NoPartition: true}).Image.Disasm()
+	want := distBaseline(t, mods)
 
 	cases := []struct {
 		name   string
@@ -323,7 +332,6 @@ func TestRemoteWorkerFaultInjection(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := distBuild(t, mods, cmo.Options{
 				Partitions:    4,
-				Workers:       1,
 				RemoteWorkers: []string{tc.server(t)},
 				RemoteTimeout: 100 * time.Millisecond,
 			})
@@ -353,7 +361,7 @@ func TestRemoteWorkerFaultInjection(t *testing.T) {
 func TestRemoteWorkerFallbackRetries(t *testing.T) {
 	spec := distSpec(113)
 	mods := distSources(spec)
-	want := distBuild(t, mods, cmo.Options{NoPartition: true}).Image.Disasm()
+	want := distBaseline(t, mods)
 	ts := httptest.NewServer(http.NotFoundHandler())
 	url := ts.URL
 	ts.Close()
@@ -361,7 +369,6 @@ func TestRemoteWorkerFallbackRetries(t *testing.T) {
 	for attempt := 0; attempt < 20; attempt++ {
 		b := distBuild(t, mods, cmo.Options{
 			Partitions:    8,
-			Workers:       1,
 			RemoteWorkers: []string{url},
 			RemoteTimeout: 100 * time.Millisecond,
 		})
@@ -395,7 +402,7 @@ func TestRemoteWorkerFallbackRetries(t *testing.T) {
 func TestDistributedBuildThroughDaemon(t *testing.T) {
 	spec := distSpec(127)
 	mods := distSources(spec)
-	base := distBuild(t, mods, cmo.Options{NoPartition: true})
+	base := distBuild(t, mods, cmo.Options{Partitions: 1, Jobs: 1})
 	var wantImg bytes.Buffer
 	if err := objfile.EncodeImage(&wantImg, base.Image); err != nil {
 		t.Fatalf("encoding reference image: %v", err)

@@ -1,19 +1,22 @@
-// Package backend is the worker abstraction under the pipeline's
-// partitioned code-generation stage: "compile this partition to LLO
-// objects", executable by an in-process engine or farmed to a cmod
-// daemon over HTTP (the WHOPR/ltrans phase of the GCC LTO papers,
-// grown onto the paper's repository pipeline).
+// Package backend holds the byte seams of the pipeline's partitioned
+// code-generation stage: the partition fingerprint, the LLO object
+// codec the repository caches, and the POST /backend exchange that
+// farms a partition to a cmod daemon (the WHOPR/ltrans phase of the
+// GCC LTO papers, grown onto the paper's repository pipeline). The
+// build's own local workers compile straight from its loader and
+// never pass through this package's codecs.
 //
-// Everything that crosses a worker boundary is name-symbolic — the
+// Everything that crosses a process boundary is name-symbolic — the
 // portable post-HLO function encoding in, the name-resolved LLO
 // object encoding out — so a remote worker's private PID numbering
 // can never leak into the bytes it returns. That is the whole
 // byte-identity argument: local and remote execution run the same
-// deterministic llo.Compile over the same portable bodies and encode
-// the result through the same PID-free codec, so the dispatching
-// build cannot tell workers apart by output, only by speed. The
-// differential tests in the root package hold images byte-identical
-// across worker counts, partition counts, and local-vs-remote mixes.
+// deterministic llo.Compile over the same bodies, and the remote
+// result comes back through a PID-free codec that decodes to exactly
+// the routine it encoded, so the dispatching build cannot tell
+// workers apart by output, only by speed. The differential tests in
+// the root package hold images byte-identical across job counts,
+// partition counts, and local-vs-remote mixes.
 package backend
 
 import (
@@ -25,11 +28,10 @@ import (
 	"cmo/internal/llo"
 	"cmo/internal/lower"
 	"cmo/internal/naim"
-	"cmo/internal/obs"
 )
 
-// Func is one routine of a partition: its identity, resolved codegen
-// tier, and portable post-HLO body.
+// Func is one routine of a remote request: its identity, resolved
+// codegen tier, and portable post-HLO body.
 type Func struct {
 	Name  string
 	Level int
@@ -62,9 +64,8 @@ type Object struct {
 	Nanos int64
 }
 
-// Request is one worker call: the module shapes to rebuild a symbol
-// table from (remote workers; the local engine already has the
-// program) and the partition to compile.
+// Request is one remote worker call: the module shapes to rebuild a
+// symbol table from, and the partition to compile.
 type Request struct {
 	// Toolchain guards against version skew across a worker fleet: a
 	// worker refuses a request from a different toolchain rather than
@@ -82,17 +83,15 @@ type Result struct {
 	Objects []Object
 }
 
-// A Worker executes partitions. Implementations must be safe for
-// sequential reuse; the dispatcher gives each worker goroutine its
-// own Worker value.
-type Worker interface {
-	// Name identifies the worker in telemetry ("local", or the remote
-	// address).
-	Name() string
-	// Compile executes one partition. ctx bounds the attempt; an
-	// error (or expired ctx) means the caller may retry elsewhere —
-	// Compile must not return partial results.
-	Compile(ctx context.Context, req *Request) (*Result, error)
+// Member identifies one routine of a partition for its fingerprint:
+// name, resolved codegen tier, and the content hash of its portable
+// post-HLO body (naim.HashPortableFunc), which is all llo.Compile's
+// output depends on.
+type Member struct {
+	Name     string
+	Level    int
+	PBO      bool
+	BodyHash naim.Key
 }
 
 // Fingerprint derives the partition's deterministic identity: the
@@ -100,36 +99,24 @@ type Worker interface {
 // its index, and every member's name, tier, and portable body hash.
 // Two builds produce equal fingerprints exactly when the partition
 // would compile to the same objects — fingerprint change ⇔ partition
-// content change (the fuzz target in fingerprint_test.go holds both
-// directions).
-func Fingerprint(scope string, index, total int, funcs []Func) string {
-	parts := make([]string, 0, 2+3*len(funcs))
+// content change (FuzzFingerprint holds both directions).
+func Fingerprint(scope string, index, total int, members []Member) string {
+	parts := make([]string, 0, 2+3*len(members))
 	parts = append(parts, scope, fmt.Sprintf("part=%d/%d", index, total))
-	for i := range funcs {
-		f := &funcs[i]
-		bh := naim.KeyOf(f.Body)
-		parts = append(parts, f.Name, fmt.Sprintf("tier=%d,%t", f.Level, f.PBO), keyHex(bh))
+	for i := range members {
+		m := &members[i]
+		parts = append(parts, m.Name, fmt.Sprintf("tier=%d,%t", m.Level, m.PBO), keyHex(m.BodyHash))
 	}
 	k := naim.KeyOfStrings(parts...)
 	return keyHex(k)
 }
 
-// Engine compiles partitions in-process against an installed program:
+// Engine compiles a shipped partition against an installed program:
 // decode the portable body, run the deterministic low-level optimizer,
 // encode the object name-symbolically. It is the execution core of
-// both the local worker pool and the remote daemon's /backend
-// endpoint.
+// the daemon's /backend endpoint (see Execute).
 type Engine struct {
 	Prog *il.Program
-	// Verify, when non-nil, re-checks each optimized working copy
-	// just before emission (the dispatching build's Options.Verify
-	// hook). Verification never changes bytes, so remote workers —
-	// which run without the dispatcher's hook — still return
-	// identical objects.
-	Verify func(*il.Function) error
-	// Span scopes per-routine codegen spans ("codegen" children under
-	// the llo phase, "partition" detail spans around each unit).
-	Span obs.Span
 }
 
 // Compile executes one partition, checking ctx between routines.
@@ -151,7 +138,7 @@ func (e *Engine) Compile(ctx context.Context, p *Partition) (*Result, error) {
 			return nil, fmt.Errorf("backend: decoding body of %s: %w", fn.Name, err)
 		}
 		start := time.Now()
-		mf, err := llo.Compile(e.Prog, f, llo.Options{Level: fn.Level, PBO: fn.PBO, Span: e.Span, Verify: e.Verify})
+		mf, err := llo.Compile(e.Prog, f, llo.Options{Level: fn.Level, PBO: fn.PBO})
 		if err != nil {
 			return nil, err
 		}
@@ -199,21 +186,6 @@ func ProgramFromShapes(shapes []lower.Shape) (*il.Program, error) {
 		}
 	}
 	return prog, nil
-}
-
-// Local is the in-process worker: a thin adapter putting the
-// dispatching build's own engine behind the Worker interface so the
-// dispatcher schedules local slots and remote daemons uniformly.
-type Local struct {
-	Engine *Engine
-}
-
-func (l *Local) Name() string { return "local" }
-
-// Compile ignores the request's shapes — the local engine compiles
-// against the build's real program.
-func (l *Local) Compile(ctx context.Context, req *Request) (*Result, error) {
-	return l.Engine.Compile(ctx, &req.Part)
 }
 
 func keyHex(k naim.Key) string {

@@ -55,18 +55,21 @@ func buildProg(t *testing.T, srcs ...string) (*il.Program, map[il.PID]*il.Functi
 func partitionOf(t *testing.T, prog *il.Program, fns map[il.PID]*il.Function, level int) *Request {
 	t.Helper()
 	var funcs []Func
+	var members []Member
 	for _, pid := range prog.FuncPIDs() {
 		f := fns[pid]
 		if f == nil {
 			t.Fatalf("no body for %s", prog.Sym(pid).Name)
 		}
-		funcs = append(funcs, Func{
+		fn := Func{
 			Name:  prog.Sym(pid).Name,
 			Level: level,
 			Body:  naim.EncodePortableFunc(prog, f),
-		})
+		}
+		funcs = append(funcs, fn)
+		members = append(members, Member{Name: fn.Name, Level: fn.Level, BodyHash: naim.KeyOf(fn.Body)})
 	}
-	fp := Fingerprint("test-scope", 0, 1, funcs)
+	fp := Fingerprint("test-scope", 0, 1, members)
 	return &Request{
 		Toolchain: "test-toolchain",
 		Shapes:    lower.ShapesOf(prog),
@@ -187,12 +190,12 @@ func TestWireTruncationsRejected(t *testing.T) {
 }
 
 func TestFingerprintSensitivity(t *testing.T) {
-	base := []Func{
-		{Name: "f1", Level: 2, Body: []byte("body-1")},
-		{Name: "f2", Level: 1, PBO: true, Body: []byte("body-2")},
+	base := []Member{
+		{Name: "f1", Level: 2, BodyHash: naim.KeyOf([]byte("body-1"))},
+		{Name: "f2", Level: 1, PBO: true, BodyHash: naim.KeyOf([]byte("body-2"))},
 	}
-	clone := func() []Func {
-		out := make([]Func, len(base))
+	clone := func() []Member {
+		out := make([]Member, len(base))
 		copy(out, base)
 		return out
 	}
@@ -200,9 +203,9 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if got := Fingerprint("scope", 0, 2, clone()); got != fp {
 		t.Error("equal inputs produced different fingerprints")
 	}
-	muts := map[string][]Func{}
+	muts := map[string][]Member{}
 	m := clone()
-	m[0].Body = []byte("body-X")
+	m[0].BodyHash = naim.KeyOf([]byte("body-X"))
 	muts["body change"] = m
 	m = clone()
 	m[0].Level = 1
@@ -214,8 +217,8 @@ func TestFingerprintSensitivity(t *testing.T) {
 	m[0].Name = "f9"
 	muts["rename"] = m
 	muts["member dropped"] = clone()[:1]
-	for what, funcs := range muts {
-		if Fingerprint("scope", 0, 2, funcs) == fp {
+	for what, members := range muts {
+		if Fingerprint("scope", 0, 2, members) == fp {
 			t.Errorf("%s did not change the fingerprint", what)
 		}
 	}
@@ -236,8 +239,8 @@ func FuzzFingerprint(f *testing.F) {
 	f.Add("a", 2, false, []byte("x"), "b", 1, true, []byte("y"))
 	f.Add("a", 2, false, []byte("x"), "a", 2, false, []byte("x"))
 	f.Fuzz(func(t *testing.T, n1 string, l1 int, p1 bool, b1 []byte, n2 string, l2 int, p2 bool, b2 []byte) {
-		fa := []Func{{Name: n1, Level: l1, PBO: p1, Body: b1}}
-		fb := []Func{{Name: n2, Level: l2, PBO: p2, Body: b2}}
+		fa := []Member{{Name: n1, Level: l1, PBO: p1, BodyHash: naim.KeyOf(b1)}}
+		fb := []Member{{Name: n2, Level: l2, PBO: p2, BodyHash: naim.KeyOf(b2)}}
 		same := n1 == n2 && l1 == l2 && p1 == p2 && bytes.Equal(b1, b2)
 		got := Fingerprint("s", 0, 1, fa) == Fingerprint("s", 0, 1, fb)
 		if got != same {

@@ -14,7 +14,7 @@ import (
 // portable HLO bodies stream in, content-addressed objects stream
 // back. Any failure — refused connection, timeout, non-200 status,
 // malformed or mismatched reply — is returned to the dispatcher,
-// which retries the partition on the local engine; a flaky worker
+// which compiles the partition locally instead; a flaky worker
 // costs time, never bytes and never correctness.
 
 // DefaultTimeout bounds one partition attempt when the caller sets
@@ -29,7 +29,9 @@ const RequestContentType = "application/x-cmo-backend"
 // forever must not wedge the dispatcher.
 const maxResultBytes = 1 << 30
 
-// Remote is a Worker backed by one daemon address.
+// Remote farms partitions to one daemon address. Compile must not
+// return partial results: an error (or expired ctx) means the caller
+// compiles the partition elsewhere.
 type Remote struct {
 	// Addr is the daemon base URL ("http://host:port").
 	Addr string

@@ -16,8 +16,8 @@ import (
 
 // The distributed-backend figure: the same program built cold, warm
 // with no edit, and warm after a one-function edit, across backend
-// configurations from the NoPartition ablation to a two-daemon
-// remote worker farm. The number that matters most is not a timing —
+// configurations from one partition on one job to a two-daemon remote
+// worker farm. The number that matters most is not a timing —
 // it is the Identical column, which must be true at every point: the
 // WHOPR-style backend split changes where partitions compile, never
 // what they compile to.
@@ -39,8 +39,8 @@ type DistributedPoint struct {
 	PartitionRetries int `json:"partition_retries"`
 	// ImageReplay marks the whole-image replay path (warm-noop).
 	ImageReplay bool `json:"image_replay"`
-	// Identical records byte-identity against the NoPartition
-	// baseline's image for the same step. Any false value is a bug,
+	// Identical records byte-identity against the baseline's (one
+	// partition, one job) image for the same step. Any false value is a bug,
 	// not a data point.
 	Identical bool `json:"identical"`
 }
@@ -48,12 +48,12 @@ type DistributedPoint struct {
 // DistributedRun is one backend configuration's cold → warm-noop →
 // warm-edit1 trajectory.
 type DistributedRun struct {
-	// Config names the backend shape, e.g. "no-partition",
-	// "local-w4-p4", "remote-2x-p8".
+	// Config names the backend shape, e.g. "local-j1-p1",
+	// "local-j4-p4", "remote-2x-p8".
 	Config string `json:"config"`
-	// Workers is the local pool size; Partitions the requested
-	// partition count; RemoteWorkers the daemon count farmed to.
-	Workers       int                `json:"workers"`
+	// Jobs is the local pool size; Partitions the requested partition
+	// count; RemoteWorkers the daemon count farmed to.
+	Jobs          int                `json:"jobs"`
 	Partitions    int                `json:"partitions"`
 	RemoteWorkers int                `json:"remote_workers"`
 	Points        []DistributedPoint `json:"points"`
@@ -65,14 +65,14 @@ type DistributedRecord struct {
 	Modules   int              `json:"modules"`
 	Runs      []DistributedRun `json:"runs"`
 	// Identical is the headline: true only when every point of every
-	// run was byte-identical to the NoPartition baseline.
+	// run was byte-identical to the baseline.
 	Identical bool `json:"identical"`
 }
 
 // distConfig describes one backend shape to sweep.
 type distConfig struct {
 	name       string
-	workers    int
+	jobs       int
 	partitions int
 	remotes    int
 }
@@ -99,14 +99,15 @@ func Distributed(cfg Config) (*DistributedRecord, error) {
 
 	rec := &DistributedRecord{Benchmark: spec.Name, Modules: spec.Modules, Identical: true}
 	configs := []distConfig{
-		{name: "no-partition"},
-		{name: "local-w1-p4", workers: 1, partitions: 4},
-		{name: "local-w4-p4", workers: 4, partitions: 4},
-		{name: "remote-1x-p4", workers: 1, partitions: 4, remotes: 1},
-		{name: "remote-2x-p8", workers: 2, partitions: 8, remotes: 2},
+		{name: "local-j1-p1", jobs: 1, partitions: 1},
+		{name: "local-j1-p4", jobs: 1, partitions: 4},
+		{name: "local-j4-p4", jobs: 4, partitions: 4},
+		{name: "remote-1x-p4", jobs: 1, partitions: 4, remotes: 1},
+		{name: "remote-2x-p8", jobs: 2, partitions: 8, remotes: 2},
 	}
 
-	// Baseline images per step, from the first (NoPartition) run.
+	// Baseline images per step, from the first (one partition, one
+	// job) run.
 	baseline := map[string]string{}
 	for _, dc := range configs {
 		run, err := distributedRun(cfg, dc, mods, edited, baseline)
@@ -141,7 +142,7 @@ func distributedRun(cfg Config, dc distConfig, mods, edited []cmo.SourceModule, 
 	}
 
 	run := &DistributedRun{
-		Config: dc.name, Workers: dc.workers,
+		Config: dc.name, Jobs: dc.jobs,
 		Partitions: dc.partitions, RemoteWorkers: dc.remotes,
 	}
 	step := func(name string, in []cmo.SourceModule) error {
@@ -151,9 +152,8 @@ func distributedRun(cfg Config, dc distConfig, mods, edited []cmo.SourceModule, 
 			Volatile:      workload.InputGlobals(),
 			Trace:         cfg.Trace,
 			CacheDir:      dir,
-			NoPartition:   dc.name == "no-partition",
+			Jobs:          dc.jobs,
 			Partitions:    dc.partitions,
-			Workers:       dc.workers,
 			RemoteWorkers: remoteURLs,
 		})
 		if err != nil {
@@ -209,7 +209,7 @@ func startWorkerDaemon() (url string, stop func(), err error) {
 // RenderDistributed formats the sweep as the report table.
 func RenderDistributed(rec *DistributedRecord) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Distributed backend: %s, %d modules (O2, vs the NoPartition ablation)\n",
+	fmt.Fprintf(&sb, "Distributed backend: %s, %d modules (O2, vs one partition on one job)\n",
 		rec.Benchmark, rec.Modules)
 	fmt.Fprintf(&sb, "%-13s  %-10s  %9s  %5s  %6s  %6s  %7s  %7s  %s\n",
 		"config", "build", "build-ms", "parts", "clean", "local", "remote", "retries", "image")

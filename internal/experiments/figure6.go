@@ -19,6 +19,9 @@ type Fig6Point struct {
 	TotalLines    int
 	BuildNanos    int64
 	HLONanos      int64
+	// InlinedInstrs is the IL HLO copied into callers by inlining: the
+	// optimizer work selection adds, as a deterministic count.
+	InlinedInstrs int
 	RunCycles     int64
 	// Speedup is run-time improvement over the 0% (pure O2+P) build.
 	Speedup float64
@@ -88,6 +91,7 @@ func Figure6(cfg Config) ([]Fig6Point, error) {
 			TotalLines:    b.Stats.TotalLines,
 			BuildNanos:    bestNanos,
 			HLONanos:      b.Stats.HLONanos,
+			InlinedInstrs: b.Stats.HLO.InlinedInstrs,
 			RunCycles:     rr.Stats.Cycles,
 		}
 		if pct == 0 {
@@ -108,12 +112,12 @@ func Figure6(cfg Config) ([]Fig6Point, error) {
 func RenderFigure6(points []Fig6Point) string {
 	var sb strings.Builder
 	sb.WriteString("Figure 6: selectivity sweep on the Mcad1-like application\n")
-	sb.WriteString(fmt.Sprintf("%8s %12s %14s %12s %12s %9s\n",
-		"percent", "sites", "lines in CMO", "build ms", "run cycles", "speedup"))
+	sb.WriteString(fmt.Sprintf("%8s %12s %14s %12s %9s %12s %9s\n",
+		"percent", "sites", "lines in CMO", "build ms", "inlined", "run cycles", "speedup"))
 	for _, p := range points {
-		sb.WriteString(fmt.Sprintf("%7.1f%% %6d/%-6d %7d/%-7d %12.2f %12d %9.3f\n",
+		sb.WriteString(fmt.Sprintf("%7.1f%% %6d/%-6d %7d/%-7d %12.2f %9d %12d %9.3f\n",
 			p.Percent, p.SelectedSites, p.TotalSites, p.SelectedLines, p.TotalLines,
-			ms(p.BuildNanos), p.RunCycles, p.Speedup))
+			ms(p.BuildNanos), p.InlinedInstrs, p.RunCycles, p.Speedup))
 	}
 	return sb.String()
 }

@@ -59,11 +59,6 @@ type BuildRequest struct {
 	// Partitions sets the backend partition count (0 = size-based
 	// default). Never changes output bytes.
 	Partitions int `json:"partitions,omitempty"`
-	// NoPartition runs the pre-partition per-routine LLO path (the
-	// ablation; incompatible with RemoteWorkers).
-	NoPartition bool `json:"no_partition,omitempty"`
-	// Workers sets the in-process backend pool (0 = the granted Jobs).
-	Workers int `json:"workers,omitempty"`
 	// RemoteWorkers lists other cmod daemons ("http://host:port") to
 	// farm backend partitions to. Failures fall back to local compiles.
 	RemoteWorkers []string `json:"remote_workers,omitempty"`
@@ -250,8 +245,6 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		Volatile:      req.Volatile,
 		Jobs:          jobs,
 		Partitions:    req.Partitions,
-		NoPartition:   req.NoPartition,
-		Workers:       req.Workers,
 		RemoteWorkers: req.RemoteWorkers,
 		Trace:         btr,
 		Context:       ctx,

@@ -73,8 +73,8 @@ type BuildRecord struct {
 	GraphFrontier      int   `json:"graph_frontier,omitempty"`
 	GraphImageReplay   bool  `json:"graph_image_replay,omitempty"`
 
-	// Partitioned-backend figures (zero when the build ran the
-	// NoPartition ablation or never reached codegen).
+	// Partitioned-backend figures (zero when the build never reached
+	// codegen).
 	Partitions       int `json:"partitions,omitempty"`
 	PartitionsClean  int `json:"partitions_clean,omitempty"`
 	PartitionsLocal  int `json:"partitions_local,omitempty"`

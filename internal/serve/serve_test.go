@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -371,6 +372,88 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	if _, ok := s.admit(); ok {
 		t.Fatalf("draining server admitted a request")
+	}
+}
+
+// TestJobBudgetBoundsBackendPool: the LLO stage's local pool is the
+// granted Jobs and nothing else, so a request cannot widen it past the
+// daemon's job budget. The "workers" field is not part of the request
+// any more; an old client that still sends it builds as if it had not,
+// byte-identically, and on a JobBudget-1 daemon no two local partitions
+// of its build ever run at once.
+func TestJobBudgetBoundsBackendPool(t *testing.T) {
+	mods := testModules(testSpec(43))
+	want := oneShotImage(t, mods)
+
+	srv := New(Config{MaxBuilds: 1, JobBudget: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain()
+
+	// Marshal the request, then add the retired field by hand.
+	body, err := json.Marshal(BuildRequest{Modules: mods, Jobs: 64, Partitions: 64,
+		Volatile: workload.InputGlobals()})
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	raw["workers"] = 64
+	if body, err = json.Marshal(raw); err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	resp, err := http.Post(ts.URL+"/build", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /build: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /build: %s", resp.Status)
+	}
+	var br BuildResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		t.Fatalf("decoding response: %v", err)
+	}
+	if br.Jobs != 1 {
+		t.Errorf("granted %d jobs on a JobBudget-1 daemon, want 1", br.Jobs)
+	}
+	if !bytes.Equal(br.Image, want) {
+		t.Errorf("image differs from a one-shot build (%d vs %d bytes)", len(br.Image), len(want))
+	}
+	if br.Stats.PartitionsLocal < 2 {
+		t.Fatalf("build ran %d local partitions; the overlap check needs at least 2", br.Stats.PartitionsLocal)
+	}
+
+	var events []struct {
+		Name string  `json:"name"`
+		Ph   string  `json:"ph"`
+		Ts   float64 `json:"ts"`
+		Dur  float64 `json:"dur"`
+		Args struct {
+			Detail string `json:"detail"`
+		} `json:"args"`
+	}
+	if err := json.Unmarshal(scrape(t, ts.URL+"/builds/"+br.RequestID+"/trace"), &events); err != nil {
+		t.Fatalf("trace is not a JSON event array: %v", err)
+	}
+	type span struct{ start, end float64 }
+	var local []span
+	for _, e := range events {
+		if e.Ph == "X" && e.Name == "partition" && strings.Contains(e.Args.Detail, "via local") {
+			local = append(local, span{e.Ts, e.Ts + e.Dur})
+		}
+	}
+	if len(local) != br.Stats.PartitionsLocal {
+		t.Fatalf("trace holds %d local partition spans, stats count %d", len(local), br.Stats.PartitionsLocal)
+	}
+	sort.Slice(local, func(i, j int) bool { return local[i].start < local[j].start })
+	for i := 1; i < len(local); i++ {
+		if local[i].start < local[i-1].end {
+			t.Fatalf("local partitions overlap: [%.3f, %.3f) and [%.3f, %.3f) µs",
+				local[i-1].start, local[i-1].end, local[i].start, local[i].end)
+		}
 	}
 }
 

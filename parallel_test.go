@@ -1,15 +1,14 @@
 package cmo
 
 import (
-	"errors"
+	"strings"
 	"testing"
 
 	"cmo/internal/il"
-	"cmo/internal/llo"
 	"cmo/internal/lower"
 	"cmo/internal/naim"
+	"cmo/internal/obs"
 	"cmo/internal/source"
-	"cmo/internal/vpa"
 	"cmo/internal/workload"
 )
 
@@ -35,10 +34,11 @@ func lowerSpec(t *testing.T, spec workload.Spec) (*il.Program, map[il.PID]*il.Fu
 	return res.Prog, res.Funcs
 }
 
-// TestCompileParallelErrorUnpinsAll: when one routine fails mid-stream
-// under Jobs > 1, the cursor must stop handing out new bodies and
-// every already checked-out body must be released — a failing build
-// leaves no pinned handles behind, so UnloadAll can compact everything.
+// TestCompileParallelErrorUnpinsAll: when one routine fails
+// verification mid-stream under Jobs > 1, the LLO stage must fail,
+// stop handing out partitions, and release every body its workers
+// checked out — a failing build leaves no pinned handles behind, so
+// UnloadAll can compact everything — and hand no code to the linker.
 func TestCompileParallelErrorUnpinsAll(t *testing.T) {
 	spec := testSpec(31)
 	prog, fns := lowerSpec(t, spec)
@@ -48,48 +48,64 @@ func TestCompileParallelErrorUnpinsAll(t *testing.T) {
 		loader.InstallFunc(fns[pid])
 	}
 
-	// Fail verification on one routine roughly mid-way through the PID
-	// order; every other routine compiles normally, so several workers
-	// are holding bodies when the failure lands.
+	// Break one routine roughly mid-way through the PID order: a call
+	// whose callee is a global variable survives local optimization
+	// (calls are never dead) but fails structural verification of
+	// LLO's working copy. Every other routine compiles normally, so
+	// several workers are holding bodies when the failure lands.
+	var global *il.Symbol
+	for _, sym := range prog.Syms {
+		if sym.Kind == il.SymGlobal {
+			global = sym
+			break
+		}
+	}
+	if global == nil {
+		t.Fatal("workload has no global variable")
+	}
+	var victim *il.Symbol
 	pids := prog.FuncPIDs()
-	victim := prog.Sym(pids[len(pids)/2]).Name
-	wantErr := errors.New("injected verify failure")
-	verify := func(f *il.Function) error {
-		if f.Name == victim {
-			return wantErr
+	for _, pid := range pids[len(pids)/2:] {
+		if call := firstCall(fns[pid]); call != nil {
+			call.Sym = global.PID
+			victim = prog.Sym(pid)
+			break
 		}
-		return nil
 	}
+	if victim == nil {
+		t.Fatal("no routine in the second half of the program makes a call")
+	}
+
 	b := &Build{Prog: prog}
-	code := make(map[il.PID]*vpa.Func)
-	compileOne := func(pid il.PID, lock func(func())) error {
-		f := loader.Function(pid)
-		if f == nil {
-			return errors.New("missing body")
-		}
-		mf, err := llo.Compile(prog, f, llo.Options{Level: 2, Verify: verify})
-		if err != nil {
-			loader.DoneWith(pid)
-			return err
-		}
-		lock(func() { code[pid] = mf })
-		loader.DoneWith(pid)
-		return nil
+	opt := Options{Level: O2, Jobs: 8, Partitions: 8, Verify: VerifyStructural}
+	code, err := b.runLLO(loader, opt, nil, nil, obs.Span{})
+	if err == nil || !strings.Contains(err.Error(), victim.Name) {
+		t.Fatalf("LLO error = %v, want the verification failure of %s", err, victim.Name)
 	}
-	err := b.compileParallel(pids, compileOne, Options{}, 8)
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("compileParallel error = %v, want the injected failure", err)
+	if b.Stats.Partitions != 8 {
+		t.Errorf("stage used %d partitions, want 8", b.Stats.Partitions)
 	}
 	if n := loader.PinnedPools(); n != 0 {
 		t.Errorf("failing build left %d pools pinned", n)
 	}
 	if n := loader.UnloadAll(); n != 0 {
-		t.Errorf("UnloadAll found %d pinned pools after a failing build", n)
+		t.Errorf("UnloadAll found %d pinned pools after a failing build (PinLeaks)", n)
 	}
-	// The victim must not have produced code.
-	if _, ok := code[prog.Lookup(victim).PID]; ok {
-		t.Errorf("failing routine %s still emitted code", victim)
+	if _, ok := code[victim.PID]; ok || code != nil {
+		t.Errorf("failing build still emitted code (%d routines, victim %v)", len(code), ok)
 	}
+}
+
+// firstCall returns f's first call instruction, or nil.
+func firstCall(f *il.Function) *il.Instr {
+	for _, blk := range f.Blocks {
+		for i := range blk.Instrs {
+			if blk.Instrs[i].Op == il.Call {
+				return &blk.Instrs[i]
+			}
+		}
+	}
+	return nil
 }
 
 func TestParallelBuildIdenticalAcrossJobs(t *testing.T) {

@@ -184,8 +184,7 @@ func (b *Build) TimingReport() string {
 		}
 		sb.WriteString("\n")
 	}
-	// Partition figures appear on partitioned-backend builds (the
-	// default LLO path); the NoPartition ablation keeps the line out.
+	// Partition figures appear on every build that ran the LLO stage.
 	if s.Partitions > 0 {
 		fmt.Fprintf(&sb, "partitions: %d total, %d clean, %d local, %d remote",
 			s.Partitions, s.PartitionsClean, s.PartitionsLocal, s.PartitionsRemote)

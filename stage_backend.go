@@ -7,9 +7,11 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"cmo/internal/backend"
 	"cmo/internal/il"
+	"cmo/internal/llo"
 	"cmo/internal/lower"
 	"cmo/internal/naim"
 	"cmo/internal/obs"
@@ -17,32 +19,39 @@ import (
 	"cmo/internal/vpa"
 )
 
-// The partitioned backend: the pipeline's WHOPR split. HLO is the
-// summary-driven whole-program phase; everything after it is
-// embarrassingly parallel per routine, so the stage (1) extracts every
-// surviving routine's portable post-HLO body (releasing its pin
-// immediately — workers operate on pure data, so no checkout is ever
-// held across a dispatch, let alone across a network call), (2) groups
-// routines into balanced callgraph-aware partitions
+// The LLO stage's scheduler: the pipeline's WHOPR split. HLO is the
+// summary-driven whole-program phase; everything after it is per
+// routine, so the stage (1) extracts every surviving routine's tier,
+// call edges and portable body hash, pinning each body only for that,
+// (2) groups routines into balanced callgraph-aware partitions
 // (internal/partition) with a deterministic fingerprint each, (3)
 // replays members that are clean against the session repository —
-// warm builds only schedule dirty partitions — and (4) dispatches the
-// dirty ones, critical-path first, across the worker set: an
-// in-process pool (Options.Workers) plus one puller per remote cmod
-// daemon (Options.RemoteWorkers). A remote failure of any kind
-// retries the partition on the local engine, so a flaky worker costs
-// time, never the build.
+// warm builds only schedule dirty partitions — and (4) runs the dirty
+// ones, critical-path first, on Jobs local workers plus one puller
+// per remote cmod daemon (Options.RemoteWorkers).
 //
-// Byte identity is the load-bearing invariant and it holds by
-// construction: every object — cached, local, or remote — travels
-// through the same name-symbolic encoding and is decoded fresh
-// against this build's program, and both partitioning and fingerprints
-// are pure functions of program content (never of Jobs, worker count,
-// or measured times). Measured costs only order the dispatch queue.
+// A local worker compiles the way the paper's per-routine LLO does:
+// it checks each member's body out of the loader, runs llo.Compile
+// and releases the pin, and the compiled routine goes straight into
+// the code map. Codecs sit only at the two seams that need bytes. When
+// the build caches objects (a graph-scheduled session build), each
+// compiled routine is encoded for the repository. When a partition
+// goes to a remote daemon, its bodies are encoded under a short pin
+// each, released before the network call, and the returned objects
+// are decoded against this build's program. A remote failure of any
+// kind retries the partition locally, so a flaky worker costs time,
+// never the build.
+//
+// Byte identity holds by construction: llo.Compile is a pure function
+// of (body, tier), the object codec is name-symbolic and exact, so a
+// replayed, remote or local object is the same code, and both
+// partitioning and fingerprints are pure functions of program content
+// (never of Jobs, worker count, or measured times). Measured costs
+// only order the dispatch queue.
 
-// PartitionInfo describes one backend partition of a completed build
-// (nil on the NoPartition path): its deterministic fingerprint, its
-// membership in canonical order, and how it was satisfied.
+// PartitionInfo describes one backend partition of a completed build:
+// its deterministic fingerprint, its membership in canonical order,
+// and how it was satisfied.
 type PartitionInfo struct {
 	Index int
 	// FP is the deterministic partition fingerprint: toolchain ⊕
@@ -58,19 +67,34 @@ type PartitionInfo struct {
 	Worker string
 }
 
+// lloMember is one surviving routine as extraction leaves it: no body,
+// only what partitioning, fingerprints, cache keys and the compile
+// need.
+type lloMember struct {
+	pid      il.PID
+	name     string
+	level    int
+	pbo      bool
+	bodyHash naim.Key // naim.HashPortableFunc of the post-HLO body
+	key      naim.Key // object cache key (caching builds only)
+	size     int
+}
+
 // backendUnit is one partition's dispatch state.
 type backendUnit struct {
-	idx   int
-	fp    string
-	items []partition.Item // canonical membership
-	funcs []backend.Func   // full membership, canonical order
-	keys  []naim.Key       // per-member object keys
-	pids  []il.PID
+	idx     int
+	fp      string
+	members []*lloMember // canonical order
 
-	// blobs[i] holds member i's object encoding: filled from the
-	// repository during the probe, or by a worker during dispatch.
+	// objs[i] is member i's compiled routine: replayed from the
+	// repository, compiled by a local worker, or decoded from a remote
+	// reply.
+	objs []*vpa.Func
+	// blobs[i] is member i's object encoding, kept only where bytes
+	// exist anyway or are needed: a repository read, a remote reply,
+	// or a local compile on a caching build.
 	blobs [][]byte
-	// dirty lists the members to dispatch (indexes into funcs).
+	// dirty lists the members to compile (indexes into members).
 	dirty []int
 	// fromBundle marks a unit whose probe was satisfied by one bundle
 	// read (no rewrite needed).
@@ -79,35 +103,26 @@ type backendUnit struct {
 	priority int64
 }
 
-// runLLOPartitioned is the default LLO stage (see the file comment).
-func (b *Build) runLLOPartitioned(loader *naim.Loader, opt Options, sess *Session, omit map[il.PID]bool, lsp obs.Span) (map[il.PID]*vpa.Func, error) {
+// runLLO is the LLO stage (see the file comment): it compiles every
+// function not in omit and returns the code map.
+func (b *Build) runLLO(loader *naim.Loader, opt Options, sess *Session, omit map[il.PID]bool, lsp obs.Span) (map[il.PID]*vpa.Func, error) {
 	prog := b.Prog
 	gp := b.gp
+	caching := gp != nil
 	multiLayer := opt.MultiLayer && opt.Level >= O4 && opt.DB != nil
 	optFP := hloOptionsFingerprint(opt)
 
 	// Phase 1: extract. One sequential pass in PID order — tier
 	// classification mutates stats and must stay deterministic — that
-	// pins each body just long enough to encode its portable form and
-	// collect its call edges, then releases it. After this loop the
-	// stage holds no checkouts: workers, local or remote, see only
-	// portable bytes.
-	type member struct {
-		pid      il.PID
-		name     string
-		level    int
-		pbo      bool
-		body     []byte
-		bodyHash naim.Key
-		size     int
-	}
+	// pins each body just long enough to hash its portable form and
+	// collect its call edges, then releases it.
 	pids := make([]il.PID, 0, len(prog.FuncPIDs()))
 	for _, pid := range prog.FuncPIDs() {
 		if !omit[pid] {
 			pids = append(pids, pid)
 		}
 	}
-	members := make(map[string]*member, len(pids))
+	members := make(map[string]*lloMember, len(pids))
 	items := make([]partition.Item, 0, len(pids))
 	type edgeKey struct{ a, b string }
 	edgeW := make(map[edgeKey]int64)
@@ -121,15 +136,16 @@ func (b *Build) runLLOPartitioned(loader *naim.Loader, opt Options, sess *Sessio
 		}
 		sym := prog.Sym(pid)
 		level, pbo := b.lloTier(opt, multiLayer, pid, f)
-		body := naim.EncodePortableFunc(prog, f)
-		m := &member{
+		m := &lloMember{
 			pid:      pid,
 			name:     sym.Name,
 			level:    level,
 			pbo:      pbo,
-			body:     body,
-			bodyHash: naim.KeyOf(body),
+			bodyHash: naim.HashPortableFunc(prog, f),
 			size:     f.NumInstrs(),
+		}
+		if caching {
+			m.key = lloObjectKey(optFP, m.name, m.bodyHash, m.level, m.pbo)
 		}
 		for _, blk := range f.Blocks {
 			for i := range blk.Instrs {
@@ -170,32 +186,31 @@ func (b *Build) runLLOPartitioned(loader *naim.Loader, opt Options, sess *Sessio
 	units := make([]*backendUnit, total)
 	b.Partitions = make([]PartitionInfo, total)
 	for i, p := range parts {
-		u := &backendUnit{idx: p.Index, items: p.Items}
-		names := make([]string, 0, len(p.Items))
-		for _, it := range p.Items {
+		u := &backendUnit{idx: p.Index}
+		ids := make([]backend.Member, len(p.Items))
+		names := make([]string, len(p.Items))
+		for j, it := range p.Items {
 			m := members[it.ID]
-			u.funcs = append(u.funcs, backend.Func{Name: m.name, Level: m.level, PBO: m.pbo, Body: m.body})
-			u.keys = append(u.keys, lloObjectKey(optFP, m.name, m.bodyHash, m.level, m.pbo))
-			u.pids = append(u.pids, m.pid)
-			names = append(names, m.name)
+			u.members = append(u.members, m)
+			ids[j] = backend.Member{Name: m.name, Level: m.level, PBO: m.pbo, BodyHash: m.bodyHash}
+			names[j] = m.name
 		}
-		u.fp = backend.Fingerprint(scope, p.Index, total, u.funcs)
-		u.blobs = make([][]byte, len(u.funcs))
+		u.fp = backend.Fingerprint(scope, p.Index, total, ids)
+		u.objs = make([]*vpa.Func, len(u.members))
+		u.blobs = make([][]byte, len(u.members))
 		units[i] = u
 		b.Partitions[i] = PartitionInfo{Index: p.Index, FP: u.fp, Funcs: names}
 	}
 	b.Stats.Partitions = total
 
-	// Phase 3: probe and replay. Reuse is gated exactly like the
-	// direct path — only graph-scheduled session builds cache objects —
-	// plus one bundle artifact per partition keyed by the partition
-	// fingerprint, so a fully clean partition replays in a single
-	// repository read. Every cached member decodes here, whether its
-	// partition is clean or dirty: per-function incrementality inside
-	// a dirty partition matches the direct path hit for hit. A blob
-	// that fails to decode demotes its member to dirty — reuse stays
-	// advisory, never load-bearing.
-	caching := gp != nil
+	// Phase 3: probe and replay. Only graph-scheduled session builds
+	// cache objects: one per routine, plus one bundle per partition
+	// keyed by the partition fingerprint, so a fully clean partition
+	// replays in a single repository read. Every cached member decodes
+	// here, whether its partition is clean or dirty, so a dirty
+	// partition compiles only its changed routines. A blob that fails
+	// to decode demotes its member to dirty — reuse stays advisory,
+	// never load-bearing.
 	var dirtyUnits []*backendUnit
 	for _, u := range units {
 		if err := opt.ctxErr(); err != nil {
@@ -203,10 +218,10 @@ func (b *Build) runLLOPartitioned(loader *naim.Loader, opt Options, sess *Sessio
 		}
 		if caching {
 			if blob, ok := sess.get(partitionBundleKey(u.fp)); ok {
-				if res, err := backend.DecodeResult(blob); err == nil && len(res.Objects) == len(u.funcs) {
+				if res, err := backend.DecodeResult(blob); err == nil && len(res.Objects) == len(u.members) {
 					match := true
 					for i := range res.Objects {
-						if res.Objects[i].Name != u.funcs[i].Name {
+						if res.Objects[i].Name != u.members[i].name {
 							match = false
 							break
 						}
@@ -219,31 +234,31 @@ func (b *Build) runLLOPartitioned(loader *naim.Loader, opt Options, sess *Sessio
 					}
 				}
 			}
-			for i, key := range u.keys {
+			for i, m := range u.members {
 				if u.blobs[i] != nil {
 					continue
 				}
-				if blob, ok := sess.get(key); ok {
+				if blob, ok := sess.get(m.key); ok {
 					u.blobs[i] = blob
 				}
 			}
 		}
-		for i := range u.funcs {
+		for i, m := range u.members {
 			if u.blobs[i] == nil {
 				u.dirty = append(u.dirty, i)
 				continue
 			}
+			sp := lsp.ChildDetail("llo warm", m.name)
 			dec, err := backend.DecodeObject(prog, u.blobs[i])
-			if err != nil || dec.Name != u.funcs[i].Name {
+			sp.End()
+			if err != nil || dec.Name != m.name {
 				u.blobs[i] = nil
 				u.fromBundle = false
 				u.dirty = append(u.dirty, i)
 				continue
 			}
-			sp := lsp.ChildDetail("llo warm", u.funcs[i].Name)
-			code[u.pids[i]] = dec
-			sp.End()
-			gp.noteObject(u.funcs[i].Name, u.keys[i], 0, false)
+			u.objs[i] = dec
+			gp.noteObject(m.name, m.key, 0, false)
 			b.Stats.CacheLLOHits++
 		}
 		if len(u.dirty) == 0 {
@@ -263,10 +278,10 @@ func (b *Build) runLLOPartitioned(loader *naim.Loader, opt Options, sess *Sessio
 			prio = gp.priorities()
 		}
 		for _, u := range dirtyUnits {
-			for _, it := range u.items {
-				w := it.Size
+			for _, m := range u.members {
+				w := int64(m.size)
 				if prio != nil {
-					if p, ok := prio[graphObjID(it.ID)]; ok && p > w {
+					if p, ok := prio[graphObjID(m.name)]; ok && p > w {
 						w = p
 					}
 				}
@@ -281,26 +296,20 @@ func (b *Build) runLLOPartitioned(loader *naim.Loader, opt Options, sess *Sessio
 			}
 			return dirtyUnits[i].idx < dirtyUnits[j].idx
 		})
-		if err := b.dispatchPartitions(dirtyUnits, total, opt, sess, lsp); err != nil {
+		if err := b.dispatchPartitions(dirtyUnits, total, loader, opt, sess, lsp); err != nil {
 			return nil, err
 		}
-		// Harvest: decode freshly compiled objects into the code map.
-		// Decoding happens here, on the dispatcher, for local and
-		// remote results alike — both arrive as the same encoding and
-		// become fresh Funcs against this build's program, which is
-		// what makes local-vs-remote byte-invisible to the linker.
 		for _, u := range dirtyUnits {
 			for _, di := range u.dirty {
-				m := members[u.funcs[di].Name]
-				dec, err := backend.DecodeObject(prog, u.blobs[di])
-				if err != nil {
-					return nil, fmt.Errorf("cmo: decoding compiled object %s: %w", u.funcs[di].Name, err)
-				}
-				code[u.pids[di]] = dec
-				if lb := lloBytes(m.size); lb > b.Stats.LLOPeakBytes {
+				if lb := lloBytes(u.members[di].size); lb > b.Stats.LLOPeakBytes {
 					b.Stats.LLOPeakBytes = lb
 				}
 			}
+		}
+	}
+	for _, u := range units {
+		for i, m := range u.members {
+			code[m.pid] = u.objs[i]
 		}
 	}
 
@@ -312,9 +321,9 @@ func (b *Build) runLLOPartitioned(loader *naim.Loader, opt Options, sess *Sessio
 			if u.fromBundle {
 				continue
 			}
-			bundle := backend.Result{FP: u.fp, Objects: make([]backend.Object, len(u.funcs))}
-			for i := range u.funcs {
-				bundle.Objects[i] = backend.Object{Name: u.funcs[i].Name, Blob: u.blobs[i]}
+			bundle := backend.Result{FP: u.fp, Objects: make([]backend.Object, len(u.members))}
+			for i, m := range u.members {
+				bundle.Objects[i] = backend.Object{Name: m.name, Blob: u.blobs[i]}
 			}
 			sess.put(partitionBundleKey(u.fp), backend.EncodeResult(&bundle))
 		}
@@ -335,30 +344,22 @@ func (b *Build) runLLOPartitioned(loader *naim.Loader, opt Options, sess *Sessio
 }
 
 // dispatchPartitions drains the priority-ordered dirty queue across
-// the worker set: Options.Workers local engine goroutines plus one
-// puller per remote daemon. Only each unit's dirty members are sent —
-// replayed members already hold their blobs. Completed objects land in
-// the unit's blob slots (the harvest pass decodes them); per-member
+// Jobs local workers plus one puller per remote daemon. Only each
+// unit's dirty members are compiled — replayed members already hold
+// their objects. Workers fill the unit's object slots; per-member
 // cache writes, graph costs, and partition counters are recorded under
-// one mutex.
-func (b *Build) dispatchPartitions(queue []*backendUnit, total int, opt Options, sess *Session, lsp obs.Span) error {
+// one mutex. Once any worker fails, the queue stops handing out units,
+// and every body a worker checked out is released on every path, so a
+// failing or cancelled build leaves no pin behind.
+func (b *Build) dispatchPartitions(queue []*backendUnit, total int, loader *naim.Loader, opt Options, sess *Session, lsp obs.Span) error {
 	prog := b.Prog
 	gp := b.gp
 	ctx := opt.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-
-	localWorkers := opt.Workers
-	if localWorkers <= 0 {
-		localWorkers = opt.Jobs
-	}
-	if localWorkers < 1 {
-		localWorkers = 1
-	}
-	if localWorkers > len(queue) {
-		localWorkers = len(queue)
-	}
+	verify := b.lloVerifyHook(opt)
+	localWorkers := min(max(opt.Jobs, 1), len(queue))
 
 	// Remote workers need the module shapes to rebuild a symbol table;
 	// compute them once, outside the pullers.
@@ -382,18 +383,17 @@ func (b *Build) dispatchPartitions(queue []*backendUnit, total int, opt Options,
 		mu.Unlock()
 		stop.Store(true)
 	}
-	engine := &backend.Engine{Prog: prog, Verify: b.lloVerifyHook(opt), Span: lsp}
 
-	// finish records one executed partition's objects and telemetry.
-	finish := func(u *backendUnit, res *backend.Result, worker string, remote bool, retried bool) {
+	// finish records one executed partition's objects and telemetry;
+	// nanos holds each dirty member's measured compile time.
+	finish := func(u *backendUnit, nanos []int64, worker string, remote, retried bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		for i, di := range u.dirty {
-			obj := res.Objects[i]
-			u.blobs[di] = obj.Blob
-			if gp != nil {
-				sess.put(u.keys[di], obj.Blob)
-				gp.noteObject(u.funcs[di].Name, u.keys[di], obj.Nanos, true)
+		if gp != nil {
+			for i, di := range u.dirty {
+				m := u.members[di]
+				sess.put(m.key, u.blobs[di])
+				gp.noteObject(m.name, m.key, nanos[i], true)
 				b.Stats.CacheLLOMisses++
 			}
 		}
@@ -405,51 +405,111 @@ func (b *Build) dispatchPartitions(queue []*backendUnit, total int, opt Options,
 		if retried {
 			b.Stats.PartitionRetries++
 		}
-		w := worker
-		if retried {
-			w = "local (fallback)"
-		}
-		b.Partitions[u.idx].Worker = w
+		b.Partitions[u.idx].Worker = worker
 	}
 
-	// runOn executes one unit on a worker, with the local engine as
-	// the fallback when a remote attempt fails for any reason.
-	runOn := func(u *backendUnit, w backend.Worker, remote bool) error {
+	// compileLocal compiles a unit's dirty members straight from the
+	// loader: the pool's work, and the fallback for a failed remote
+	// attempt. llo.Compile clones the body before transforming it, so
+	// workers share the loader's bodies read-only.
+	compileLocal := func(u *backendUnit, via string) ([]int64, error) {
+		sp := lsp.ChildDetail("partition", fmt.Sprintf("p%d/%d via %s (%d fns)", u.idx, total, via, len(u.dirty)))
+		defer sp.End()
+		nanos := make([]int64, len(u.dirty))
+		for i, di := range u.dirty {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			m := u.members[di]
+			start := time.Now()
+			f := loader.Function(m.pid)
+			if f == nil {
+				return nil, fmt.Errorf("cmo: no body for %s", m.name)
+			}
+			mf, err := llo.Compile(prog, f, llo.Options{Level: m.level, PBO: m.pbo, Span: lsp, Verify: verify})
+			loader.DoneWith(m.pid)
+			if err != nil {
+				return nil, err
+			}
+			nanos[i] = time.Since(start).Nanoseconds()
+			u.objs[di] = mf
+			if gp != nil {
+				u.blobs[di] = backend.EncodeObject(prog, mf)
+			}
+		}
+		return nanos, nil
+	}
+
+	// compileRemote ships a unit's dirty members to one daemon. Each
+	// body is encoded under its own short pin, released before the
+	// request goes out; a reply whose objects do not decode against
+	// this build's program is a remote failure like any other.
+	compileRemote := func(u *backendUnit, r *backend.Remote) ([]int64, error) {
 		funcs := make([]backend.Func, len(u.dirty))
 		for i, di := range u.dirty {
-			funcs[i] = u.funcs[di]
+			m := u.members[di]
+			f := loader.Function(m.pid)
+			if f == nil {
+				return nil, fmt.Errorf("cmo: no body for %s", m.name)
+			}
+			funcs[i] = backend.Func{Name: m.name, Level: m.level, PBO: m.pbo, Body: naim.EncodePortableFunc(prog, f)}
+			loader.DoneWith(m.pid)
 		}
 		req := &backend.Request{
 			Toolchain: toolchainVersion,
 			Shapes:    shapes,
 			Part:      backend.Partition{Index: u.idx, Total: total, FP: u.fp, Funcs: funcs},
 		}
-		sp := lsp.ChildDetail("partition", fmt.Sprintf("p%d/%d via %s (%d fns)", u.idx, total, w.Name(), len(funcs)))
-		res, err := w.Compile(ctx, req)
+		sp := lsp.ChildDetail("partition", fmt.Sprintf("p%d/%d via %s (%d fns)", u.idx, total, r.Name(), len(funcs)))
+		res, err := r.Compile(ctx, req)
 		sp.End()
-		retried := false
-		if err != nil && remote {
-			// The retry/fallback contract: a dead, slow, or lying
-			// remote worker demotes the partition to local execution.
-			// Only a local failure (a real compile error, or the
-			// build's own cancellation) fails the build.
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			lsp.Event("partition retry")
-			retried = true
-			fsp := lsp.ChildDetail("partition", fmt.Sprintf("p%d/%d via local fallback (%d fns)", u.idx, total, len(funcs)))
-			res, err = engine.Compile(ctx, &req.Part)
-			fsp.End()
-		}
 		if err != nil {
+			return nil, err
+		}
+		nanos := make([]int64, len(u.dirty))
+		for i, di := range u.dirty {
+			obj := &res.Objects[i]
+			dec, err := backend.DecodeObject(prog, obj.Blob)
+			if err != nil {
+				return nil, fmt.Errorf("cmo: %s returned an undecodable object for %s: %w", r.Name(), obj.Name, err)
+			}
+			u.objs[di], u.blobs[di], nanos[i] = dec, obj.Blob, obj.Nanos
+		}
+		return nanos, nil
+	}
+
+	// runOn executes one unit: locally when r is nil, otherwise on the
+	// remote daemon with the local compile as the fallback.
+	runOn := func(u *backendUnit, r *backend.Remote) error {
+		if r == nil {
+			nanos, err := compileLocal(u, "local")
+			if err != nil {
+				return err
+			}
+			finish(u, nanos, "local", false, false)
+			return nil
+		}
+		nanos, err := compileRemote(u, r)
+		if err == nil {
+			finish(u, nanos, r.Name(), true, false)
+			return nil
+		}
+		// The retry/fallback contract: a dead, slow, or lying remote
+		// worker demotes the partition to local execution. Only a
+		// local failure (a real compile error, or the build's own
+		// cancellation) fails the build.
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+		lsp.Event("partition retry")
+		if nanos, err = compileLocal(u, "local fallback"); err != nil {
 			return err
 		}
-		finish(u, res, w.Name(), remote && !retried, retried)
+		finish(u, nanos, "local (fallback)", false, true)
 		return nil
 	}
 
-	pull := func(w backend.Worker, remote bool) {
+	pull := func(r *backend.Remote) {
 		defer wg.Done()
 		for {
 			if stop.Load() {
@@ -463,7 +523,7 @@ func (b *Build) dispatchPartitions(queue []*backendUnit, total int, opt Options,
 			if i >= len(queue) {
 				return
 			}
-			if err := runOn(queue[i], w, remote); err != nil {
+			if err := runOn(queue[i], r); err != nil {
 				fail(err)
 				return
 			}
@@ -472,7 +532,7 @@ func (b *Build) dispatchPartitions(queue []*backendUnit, total int, opt Options,
 
 	for w := 0; w < localWorkers; w++ {
 		wg.Add(1)
-		go pull(&backend.Local{Engine: engine}, false)
+		go pull(nil)
 	}
 	if len(opt.RemoteWorkers) > 0 {
 		client := &http.Client{}
@@ -482,7 +542,7 @@ func (b *Build) dispatchPartitions(queue []*backendUnit, total int, opt Options,
 		}
 		for _, addr := range opt.RemoteWorkers {
 			wg.Add(1)
-			go pull(&backend.Remote{Addr: addr, Client: client, Timeout: timeout}, true)
+			go pull(&backend.Remote{Addr: addr, Client: client, Timeout: timeout})
 		}
 	}
 	wg.Wait()

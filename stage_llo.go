@@ -1,32 +1,20 @@
 package cmo
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"cmo/internal/analyze"
-	"cmo/internal/backend"
 	"cmo/internal/il"
-	"cmo/internal/llo"
-	"cmo/internal/naim"
-	"cmo/internal/obs"
-	"cmo/internal/vpa"
 )
 
-// The LLO stage: compile every surviving function to machine code.
-// With MultiLayer, each routine's tier picks its code-generation
+// The LLO stage: compile every surviving function to machine code,
+// one routine at a time, as the paper's per-routine code generator
+// does. With MultiLayer, each routine's tier picks its code-generation
 // effort (paper section 8's layered strategy).
 //
-// Two implementations share this entry point. The default is the
-// partitioned backend (stage_backend.go): routines are grouped into
-// balanced callgraph-aware partitions and executed by a worker set —
-// an in-process pool, remote cmod daemons, or any mix. The
-// Options.NoPartition ablation keeps the original per-routine
-// in-process path below, and the differential tests hold the two to
-// byte-identical images.
+// This file holds the per-routine policy: the tier a routine compiles
+// at, the verification hook run on LLO's working copy, and the working
+// set model. stage_backend.go runs the stage: it groups routines into
+// partitions, replays cached objects, and compiles the rest on the
+// local pool or remote workers.
 
 // lloBytes models LLO's working-set for one routine: linear IR plus
 // quadratic analysis structures (interference, scheduling windows).
@@ -77,200 +65,4 @@ func (b *Build) lloTier(opt Options, multiLayer bool, pid il.PID, f *il.Function
 		b.Stats.TierHot++
 		return lloLevel, opt.PBO
 	}
-}
-
-// runLLO compiles every function not in omit and returns the code
-// map: through the partitioned backend by default, or the per-routine
-// in-process path under the NoPartition ablation.
-func (b *Build) runLLO(loader *naim.Loader, opt Options, sess *Session, omit map[il.PID]bool, lsp obs.Span) (map[il.PID]*vpa.Func, error) {
-	if opt.NoPartition {
-		return b.runLLODirect(loader, opt, sess, omit, lsp)
-	}
-	return b.runLLOPartitioned(loader, opt, sess, omit, lsp)
-}
-
-// runLLODirect is the pre-partition backend: one in-process compile
-// per routine, scheduled by the dependency graph when one is loaded.
-//
-// On a graph-scheduled session build the stage becomes a scheduler
-// over the persisted dependency graph: the worklist is ordered by
-// longest-path-to-sink priority (measured costs from previous builds),
-// so the Jobs pool burns down the critical path first, and each
-// routine probes the LLO object cache — a function outside the edit's
-// dirty closure decodes its previously compiled object instead of
-// compiling, which is what makes warm-edit1 stage work proportional
-// to closure size rather than program size.
-func (b *Build) runLLODirect(loader *naim.Loader, opt Options, sess *Session, omit map[il.PID]bool, lsp obs.Span) (map[il.PID]*vpa.Func, error) {
-	prog := b.Prog
-	multiLayer := opt.MultiLayer && opt.Level >= O4 && opt.DB != nil
-	code := make(map[il.PID]*vpa.Func)
-	gp := b.gp
-	lloVerify := b.lloVerifyHook(opt)
-
-	// The worklist: every surviving routine, in critical-path order
-	// when a graph is loaded. Output is order-independent (the code
-	// map is keyed by PID and the linker orders by program symbol
-	// table or profile clustering), so scheduling changes wall time
-	// only — byte identity is preserved by construction.
-	pids := make([]il.PID, 0, len(prog.FuncPIDs()))
-	for _, pid := range prog.FuncPIDs() {
-		if !omit[pid] {
-			pids = append(pids, pid)
-		}
-	}
-	if gp != nil {
-		prio := gp.priorities()
-		weight := func(pid il.PID) int64 { return prio[graphObjID(prog.Sym(pid).Name)] }
-		sort.SliceStable(pids, func(i, j int) bool {
-			wi, wj := weight(pids[i]), weight(pids[j])
-			if wi != wj {
-				return wi > wj
-			}
-			return pids[i] < pids[j]
-		})
-		b.Stats.GraphFrontierDepth = len(pids)
-	}
-
-	// compileOne processes one routine: checkout, tier choice, object
-	// cache probe, compile on miss, store and record. lock serializes
-	// the shared-state mutations (stats, code map) — a no-op closure
-	// on the sequential path, the stage mutex on the parallel path.
-	compileOne := func(pid il.PID, lock func(func())) error {
-		f := loader.Function(pid)
-		if f == nil {
-			return fmt.Errorf("cmo: no body for %s", prog.Sym(pid).Name)
-		}
-		name := prog.Sym(pid).Name
-		var fnLevel int
-		var fnPBO bool
-		lock(func() { fnLevel, fnPBO = b.lloTier(opt, multiLayer, pid, f) })
-
-		var mf *vpa.Func
-		var key naim.Key
-		if gp != nil {
-			// The object key covers the post-HLO body (content hash of
-			// the portable encoding, block frequencies included), the
-			// options fingerprint, and the resolved tier — everything
-			// llo.Compile's output depends on.
-			key = lloObjectKey(gp.optFP, name, naim.HashPortableFunc(prog, f), fnLevel, fnPBO)
-			if blob, ok := sess.get(key); ok {
-				if dec, err := backend.DecodeObject(prog, blob); err == nil && dec.Name == name {
-					sp := lsp.ChildDetail("llo warm", name)
-					mf = dec
-					sp.End()
-					gp.noteObject(name, key, 0, false)
-					lock(func() { b.Stats.CacheLLOHits++ })
-				}
-			}
-		}
-		if mf == nil {
-			start := time.Now()
-			cf, err := llo.Compile(prog, f, llo.Options{Level: fnLevel, PBO: fnPBO, Span: lsp, Verify: lloVerify})
-			if err != nil {
-				loader.DoneWith(pid)
-				return err
-			}
-			mf = cf
-			if gp != nil {
-				sess.put(key, backend.EncodeObject(prog, mf))
-				gp.noteObject(name, key, time.Since(start).Nanoseconds(), true)
-				lock(func() { b.Stats.CacheLLOMisses++ })
-			}
-			lock(func() {
-				if lb := lloBytes(f.NumInstrs()); lb > b.Stats.LLOPeakBytes {
-					b.Stats.LLOPeakBytes = lb
-				}
-			})
-		}
-		lock(func() { code[pid] = mf })
-		loader.DoneWith(pid)
-		return nil
-	}
-
-	lloJobs := opt.Jobs
-	if lloJobs < 1 {
-		lloJobs = 1
-	}
-	if lloJobs > 1 {
-		if err := b.compileParallel(pids, compileOne, opt, lloJobs); err != nil {
-			return nil, err
-		}
-	} else {
-		inline := func(fn func()) { fn() }
-		for _, pid := range pids {
-			// Cancellation checkpoint: per routine, before the checkout,
-			// so an aborted build holds no pins.
-			if err := opt.ctxErr(); err != nil {
-				return nil, err
-			}
-			if err := compileOne(pid, inline); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if tr := lsp.Trace(); tr != nil && b.Stats.CacheLLOHits+b.Stats.CacheLLOMisses > 0 {
-		tr.Counter("session.llo_hits").Add(int64(b.Stats.CacheLLOHits))
-		tr.Counter("session.llo_misses").Add(int64(b.Stats.CacheLLOMisses))
-	}
-	return code, nil
-}
-
-// compileParallel is the Jobs > 1 code-generation path. Workers pull
-// PIDs from a shared cursor over the (critical-path-ordered) worklist
-// and call loader.Function themselves — the sharded loader is safe
-// for concurrent use, so there is no feeder funnel and a slow routine
-// never stalls checkout of the next one. Bodies are treated as
-// read-only (llo.Compile clones before transforming) and each body's
-// pin is dropped as soon as its compile completes, so NAIM's pinned
-// set stays bounded by the worker count. Once any worker records an
-// error, the cursor stops handing out new PIDs and every
-// already-pinned body is still released — a failing build leaves no
-// pinned handles behind. Cancellation rides the same stop flag: each
-// worker checks the build context before its next checkout.
-func (b *Build) compileParallel(pids []il.PID, compileOne func(il.PID, func(func())) error, opt Options, jobs int) error {
-	var (
-		mu       sync.Mutex // serializes code map and b.Stats mutations
-		firstErr error
-		stop     atomic.Bool
-		next     atomic.Int64
-		wg       sync.WaitGroup
-	)
-	locked := func(fn func()) {
-		mu.Lock()
-		fn()
-		mu.Unlock()
-	}
-	fail := func(err error) {
-		locked(func() {
-			if firstErr == nil {
-				firstErr = err
-			}
-		})
-		stop.Store(true)
-	}
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if stop.Load() {
-					return
-				}
-				if err := opt.ctxErr(); err != nil {
-					fail(err)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(pids) {
-					return
-				}
-				if err := compileOne(pids[i], locked); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }
