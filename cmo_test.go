@@ -1,6 +1,7 @@
 package cmo
 
 import (
+	"bytes"
 	"testing"
 
 	"cmo/internal/naim"
@@ -161,7 +162,11 @@ func TestNAIMBudgetEngagesDuringBuild(t *testing.T) {
 		t.Errorf("budget did not reduce peak: %d vs %d",
 			tight.Stats.NAIM.PeakBytes, free.Stats.NAIM.PeakBytes)
 	}
-	// And the output must be identical code.
+	// And the output must be identical code: the same image bytes, and
+	// so the same run.
+	if !bytes.Equal(encodedImage(t, free), encodedImage(t, tight)) {
+		t.Error("NAIM changed the encoded image")
+	}
 	rFree, err := free.Run(refInputs(spec), 0)
 	if err != nil {
 		t.Fatal(err)

@@ -60,7 +60,7 @@ func main() {
 		// hot subset touched repeatedly.
 		for round := 0; round < 2; round++ {
 			for _, pid := range prog.FuncPIDs() {
-				if loader.Function(pid) == nil {
+				if loader.View(pid) == nil {
 					log.Fatalf("lost body for %s", prog.Sym(pid).Name)
 				}
 				loader.DoneWith(pid)

@@ -122,3 +122,63 @@ func TestImageDigestsPinned(t *testing.T) {
 		}
 	}
 }
+
+// encodedImage returns b's image in its on-disk encoding.
+func encodedImage(t *testing.T, b *Build) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := objfile.EncodeImage(&buf, b.Image); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestForcedDiskOneSlotImagesIdentical builds each configuration
+// twice: without a NAIM budget, and through a loader pinned at
+// LevelDisk with a one-body cache, where every checkout that is not
+// the last one's evicts a body to the repository. A read checkout
+// that changed its body without saying so loses the change at that
+// eviction, so the two images differ.
+func TestForcedDiskOneSlotImagesIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds eight Mcad1-shaped programs")
+	}
+	for _, seed := range []int64{1, 101} {
+		spec := goldenSpec(seed)
+		mods := sources(spec)
+		db, err := Train(mods, []map[string]int64{trainInputs(spec)},
+			Options{Volatile: workload.InputGlobals()})
+		if err != nil {
+			t.Fatalf("seed %d: train: %v", seed, err)
+		}
+		for _, c := range []struct {
+			name string
+			opt  Options
+		}{
+			{"O4-all", Options{Level: O4, PBO: true, DB: db, SelectPercent: -1}},
+			{"O4-sel10", Options{Level: O4, PBO: true, DB: db, SelectPercent: 10}},
+		} {
+			key := fmt.Sprintf("seed%d/%s", seed, c.name)
+			opt := c.opt
+			opt.Volatile = workload.InputGlobals()
+			free, err := BuildSource(mods, opt)
+			if err != nil {
+				t.Fatalf("%s: unbudgeted build: %v", key, err)
+			}
+			opt.NAIM = naim.Config{ForceLevel: naim.LevelDisk, CacheSlots: 1, Dir: t.TempDir()}
+			disk, err := BuildSource(mods, opt)
+			if err != nil {
+				t.Fatalf("%s: one-slot LevelDisk build: %v", key, err)
+			}
+			if disk.Stats.PinLeaks != 0 {
+				t.Errorf("%s: one-slot build leaked %d pins", key, disk.Stats.PinLeaks)
+			}
+			if disk.Stats.NAIM.DiskReads == 0 {
+				t.Errorf("%s: the one-slot build never read a body back from disk", key)
+			}
+			if !bytes.Equal(encodedImage(t, free), encodedImage(t, disk)) {
+				t.Errorf("%s: the one-slot LevelDisk image differs from the unbudgeted one", key)
+			}
+		}
+	}
+}

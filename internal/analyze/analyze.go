@@ -201,11 +201,11 @@ func (r *Result) Sort() {
 	})
 }
 
-// Source provides function bodies on demand; it is the same contract
-// as hlo.FuncSource (the NAIM loader in production). Bodies are read,
-// never mutated.
+// Source provides function bodies on demand through read checkouts
+// (hlo.FuncSource's View; the NAIM loader in production). Bodies are
+// read, never mutated.
 type Source interface {
-	Function(pid il.PID) *il.Function
+	View(pid il.PID) *il.Function
 	DoneWith(pid il.PID)
 }
 
@@ -213,8 +213,8 @@ type Source interface {
 // loader-less callers (cmocheck).
 type MapSource map[il.PID]*il.Function
 
-// Function returns the mapped body.
-func (m MapSource) Function(pid il.PID) *il.Function { return m[pid] }
+// View returns the mapped body.
+func (m MapSource) View(pid il.PID) *il.Function { return m[pid] }
 
 // DoneWith is a no-op for MapSource.
 func (m MapSource) DoneWith(il.PID) {}
@@ -256,7 +256,7 @@ func Program(prog *il.Program, src Source, opts Options) *Result {
 	// body and returns its diagnostics plus whether a body existed;
 	// it touches no shared state, so the scan parallelizes freely.
 	checkOne := func(pid il.PID) (diags []Diagnostic, hasBody bool) {
-		f := src.Function(pid)
+		f := src.View(pid)
 		if f == nil {
 			return []Diagnostic{{
 				Check: "missing-body", Severity: Error,
@@ -408,7 +408,7 @@ func roundTripChecks(prog *il.Program, src Source, omit map[il.PID]bool) []Diagn
 		if omit[pid] {
 			continue
 		}
-		f := src.Function(pid)
+		f := src.View(pid)
 		if f == nil {
 			continue
 		}

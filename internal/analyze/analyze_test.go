@@ -272,7 +272,7 @@ type flipFlopSource struct {
 	reads  int
 }
 
-func (s *flipFlopSource) Function(pid il.PID) *il.Function {
+func (s *flipFlopSource) View(pid il.PID) *il.Function {
 	if pid == s.target {
 		s.reads++
 		if s.reads > s.after {

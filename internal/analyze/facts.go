@@ -107,7 +107,7 @@ func AuditFacts(prog *il.Program, src Source, facts Facts) []Diagnostic {
 		if facts.Dead[pid] {
 			continue
 		}
-		f := src.Function(pid)
+		f := src.View(pid)
 		if f == nil {
 			continue
 		}

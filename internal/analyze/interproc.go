@@ -57,7 +57,7 @@ func interprocChecks(prog *il.Program, src Source, omit map[il.PID]bool) []Diagn
 		if omit[caller] {
 			continue
 		}
-		f := src.Function(caller)
+		f := src.View(caller)
 		if f == nil {
 			continue
 		}
@@ -125,7 +125,7 @@ func interprocChecks(prog *il.Program, src Source, omit map[il.PID]bool) []Diagn
 		if omit[pid] {
 			return nil
 		}
-		f := src.Function(pid)
+		f := src.View(pid)
 		if f != nil {
 			src.DoneWith(pid)
 		}

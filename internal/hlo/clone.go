@@ -108,7 +108,7 @@ func (p *pass) cloneAll() {
 		if !p.selected[caller] {
 			continue
 		}
-		f := p.src.Function(caller)
+		f := p.src.View(caller)
 		if f == nil {
 			continue
 		}
@@ -190,7 +190,7 @@ func (p *pass) cloneAll() {
 // makeClone specializes callee for one signature and redirects the
 // group's call sites to the specialization. Reports success.
 func (p *pass) makeClone(installer Installer, callee il.PID, sig constSig, group []cloneSite) bool {
-	orig := p.src.Function(callee)
+	orig := p.src.View(callee)
 	if orig == nil {
 		return false
 	}
@@ -244,19 +244,14 @@ func (p *pass) makeClone(installer Installer, callee il.PID, sig constSig, group
 
 	redirected := 0
 	for _, s := range group {
-		f := p.src.Function(s.caller)
-		if f == nil || int(s.block) >= len(f.Blocks) || s.instr >= len(f.Blocks[s.block].Instrs) {
+		f := p.src.View(s.caller)
+		if f == nil {
 			continue
 		}
-		in := &f.Blocks[s.block].Instrs[s.instr]
-		if in.Op != il.Call || in.Sym != callee {
-			continue
+		if redirectSite(f, s, callee, pid, sig) {
+			p.src.MarkDirty(s.caller)
+			redirected++
 		}
-		if got, _ := sigOf(in); got != sig {
-			continue
-		}
-		in.Sym = pid
-		redirected++
 		p.src.DoneWith(s.caller)
 	}
 	p.src.DoneWith(callee)
@@ -264,5 +259,22 @@ func (p *pass) makeClone(installer Installer, callee il.PID, sig constSig, group
 		return false
 	}
 	p.res.Stats.Clones++
+	return true
+}
+
+// redirectSite points one recorded call site at the clone, if the
+// site still calls callee with the group's signature.
+func redirectSite(f *il.Function, s cloneSite, callee, clone il.PID, sig constSig) bool {
+	if int(s.block) >= len(f.Blocks) || s.instr >= len(f.Blocks[s.block].Instrs) {
+		return false
+	}
+	in := &f.Blocks[s.block].Instrs[s.instr]
+	if in.Op != il.Call || in.Sym != callee {
+		return false
+	}
+	if got, _ := sigOf(in); got != sig {
+		return false
+	}
+	in.Sym = clone
 	return true
 }

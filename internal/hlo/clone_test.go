@@ -113,8 +113,9 @@ func TestCloningDisabledWithoutInstaller(t *testing.T) {
 // bareSource hides MapSource's InstallFunc.
 type bareSource struct{ m MapSource }
 
-func (b bareSource) Function(pid il.PID) *il.Function { return b.m[pid] }
-func (b bareSource) DoneWith(il.PID)                  {}
+func (b bareSource) View(pid il.PID) *il.Function { return b.m[pid] }
+func (b bareSource) MarkDirty(il.PID)             {}
+func (b bareSource) DoneWith(il.PID)              {}
 
 func TestCloneNamesDoNotCollide(t *testing.T) {
 	prog, fns := build(t, cloneSrc)

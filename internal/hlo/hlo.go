@@ -12,16 +12,22 @@ import (
 )
 
 // FuncSource provides function bodies on demand. The returned body is
-// owned by the source; HLO mutates it in place. DoneWith hints that
-// the body will not be touched again soon and may be compacted or
-// offloaded. Implementations must be safe for concurrent use: the
-// parallel pipeline phases (codegen, selectivity enumeration,
-// verification, out-of-scope summarization) call Function/DoneWith
-// from many goroutines at once. The NAIM loader pins a body from
-// Function until the matching DoneWith, so a checked-out body is
-// never compacted out from under its holder.
+// owned by the source. HLO checks bodies out with View and changes
+// them in place: a pass that rewrote a body calls MarkDirty before
+// DoneWith releases it, and one that only read it does not. DoneWith
+// hints that the body will not be touched again soon and may be
+// compacted or offloaded. The NAIM loader pins a body from View until
+// the matching DoneWith, so a checked-out body is never compacted out
+// from under its holder. Its compacted form is a cache of the body: a
+// pool that was only read is evicted without being encoded again, so
+// a change the source was not told about is lost at the next eviction.
+// Implementations must be safe for concurrent use: the parallel
+// pipeline phases (codegen, selectivity enumeration, verification,
+// out-of-scope summarization) check bodies out from many goroutines
+// at once.
 type FuncSource interface {
-	Function(pid il.PID) *il.Function
+	View(pid il.PID) *il.Function
+	MarkDirty(pid il.PID)
 	DoneWith(pid il.PID)
 }
 
@@ -29,8 +35,11 @@ type FuncSource interface {
 // NAIM-less compilation.
 type MapSource map[il.PID]*il.Function
 
-// Function returns the mapped body.
-func (m MapSource) Function(pid il.PID) *il.Function { return m[pid] }
+// View returns the mapped body.
+func (m MapSource) View(pid il.PID) *il.Function { return m[pid] }
+
+// MarkDirty is a no-op for MapSource.
+func (m MapSource) MarkDirty(il.PID) {}
 
 // DoneWith is a no-op for MapSource.
 func (m MapSource) DoneWith(il.PID) {}
@@ -152,6 +161,12 @@ type Options struct {
 	// incremental.go). Replay never changes what the run produces —
 	// only how much of it is recomputed. Ignored when MaxInlines > 0.
 	Incremental *Incremental
+	// Scan, when non-nil, is the initial scan already taken over
+	// exactly the in-scope bodies (Scope, or the whole program), by a
+	// caller that checked them out anyway: the ipa stage feeds it
+	// through ipa.Options.Visit. Optimize then skips its own scan
+	// sweep. Optimize takes the Scan over; it must not be reused.
+	Scan *Scan
 	// Cancel, when non-nil, is polled at per-function granularity
 	// inside every transform loop (scan, inline, interproc, dce). A
 	// non-nil return aborts the run: Optimize returns that error
@@ -470,63 +485,92 @@ func (p *pass) canceled() bool {
 	return false
 }
 
-// initialScan reads every module's code once, building the call
-// graph, the stored-global set, the constant-argument lattice, and
-// function sizes — the whole-program facts that require examining all
-// routines, selected or not (paper section 5: "information about
-// routines not selected for optimization can influence the
-// optimization of selected routines").
+// Scan is HLO's initial scan: the call graph, the stored-global set,
+// the constant-argument lattice and function sizes — the
+// whole-program facts that require examining all in-scope routines,
+// selected or not (paper section 5: "information about routines not
+// selected for optimization can influence the optimization of
+// selected routines"). Add reads a body and keeps nothing of it.
+type Scan struct {
+	callees map[il.PID][]il.PID
+	callers map[il.PID][]il.PID
+	stored  map[il.PID]bool // globals stored by a scanned body
+	args    map[il.PID]*argState
+	size    map[il.PID]int
+	funcs   int
+}
+
+// NewScan returns an empty scan.
+func NewScan() *Scan {
+	return &Scan{
+		callees: make(map[il.PID][]il.PID),
+		callers: make(map[il.PID][]il.PID),
+		stored:  make(map[il.PID]bool),
+		args:    make(map[il.PID]*argState),
+		size:    make(map[il.PID]int),
+	}
+}
+
+// Add scans one body. Bodies must be added in PID order, so that
+// call-graph edge order, and with it every traversal order HLO
+// derives, matches Optimize's own sweep.
+func (s *Scan) Add(pid il.PID, f *il.Function) {
+	s.funcs++
+	s.size[pid] = f.NumInstrs()
+	seen := make(map[il.PID]bool)
+	for _, b := range f.Blocks {
+		for ii := range b.Instrs {
+			in := &b.Instrs[ii]
+			switch in.Op {
+			case il.StoreG, il.StoreX:
+				s.stored[in.Sym] = true
+			case il.Call:
+				if !seen[in.Sym] {
+					seen[in.Sym] = true
+					s.callees[pid] = append(s.callees[pid], in.Sym)
+					s.callers[in.Sym] = append(s.callers[in.Sym], pid)
+				}
+				s.meetArgs(in)
+			}
+		}
+	}
+}
+
+// initialScan takes Options.Scan, or reads every in-scope body once
+// to build one, then labels the call graph's SCCs.
 func (p *pass) initialScan() {
-	p.callees = make(map[il.PID][]il.PID)
-	p.callers = make(map[il.PID][]il.PID)
-	p.stored = make(map[il.PID]bool)
-	p.args = make(map[il.PID]*argState)
-	p.size = make(map[il.PID]int)
+	s := p.opts.Scan
+	if s == nil {
+		s = NewScan()
+		for _, pid := range p.prog.FuncPIDs() {
+			if !p.scope[pid] {
+				continue
+			}
+			if p.canceled() {
+				return
+			}
+			f := p.src.View(pid)
+			if f == nil {
+				continue
+			}
+			s.Add(pid, f)
+			p.src.DoneWith(pid)
+		}
+	}
+	p.callees, p.callers, p.stored, p.args, p.size = s.callees, s.callers, s.stored, s.args, s.size
 	for pid := range p.opts.ExternStored {
 		p.stored[pid] = true
 	}
-
-	for _, pid := range p.prog.FuncPIDs() {
-		if !p.scope[pid] {
-			continue
-		}
-		if p.canceled() {
-			return
-		}
-		f := p.src.Function(pid)
-		if f == nil {
-			continue
-		}
-		p.res.Stats.ScannedFuncs++
-		p.size[pid] = f.NumInstrs()
-		seen := make(map[il.PID]bool)
-		for _, b := range f.Blocks {
-			for ii := range b.Instrs {
-				in := &b.Instrs[ii]
-				switch in.Op {
-				case il.StoreG, il.StoreX:
-					p.stored[in.Sym] = true
-				case il.Call:
-					if !seen[in.Sym] {
-						seen[in.Sym] = true
-						p.callees[pid] = append(p.callees[pid], in.Sym)
-						p.callers[in.Sym] = append(p.callers[in.Sym], pid)
-					}
-					p.meetArgs(in)
-				}
-			}
-		}
-		p.src.DoneWith(pid)
-	}
+	p.res.Stats.ScannedFuncs = s.funcs
 	p.computeSCC()
 }
 
 // meetArgs folds one call's arguments into the callee's lattice.
-func (p *pass) meetArgs(in *il.Instr) {
-	st := p.args[in.Sym]
+func (s *Scan) meetArgs(in *il.Instr) {
+	st := s.args[in.Sym]
 	if st == nil {
 		st = &argState{state: make([]uint8, len(in.Args)), val: make([]int64, len(in.Args))}
-		p.args[in.Sym] = st
+		s.args[in.Sym] = st
 	}
 	for i, a := range in.Args {
 		if i >= len(st.state) {
@@ -638,13 +682,14 @@ func (p *pass) interproc() {
 		if p.canceled() {
 			return
 		}
-		f := p.src.Function(pid)
+		f := p.src.View(pid)
 		if f == nil {
 			continue
 		}
 		var preHash, facts string
 		if inc != nil {
 			if p.replayInterproc(inc, pid, f, entryPID) {
+				p.src.MarkDirty(pid)
 				p.src.DoneWith(pid)
 				continue
 			}
@@ -652,7 +697,10 @@ func (p *pass) interproc() {
 			preHash = inc.Hash(f)
 			facts = p.interprocFactsFP(pid, f, entryPID)
 		}
-		out := p.interprocOne(pid, f, entryPID)
+		out, changed := p.interprocOne(pid, f, entryPID)
+		if changed {
+			p.src.MarkDirty(pid)
+		}
 		if inc != nil {
 			p.storeInterprocRecord(inc, pid, f, preHash, facts, out)
 		}
@@ -661,8 +709,9 @@ func (p *pass) interproc() {
 }
 
 // interprocOne runs the live interproc stage on one function and
-// returns what it did (the replayable outcome).
-func (p *pass) interprocOne(pid il.PID, f *il.Function, entryPID il.PID) *ipOutcome {
+// returns what it did (the replayable outcome) and whether it changed
+// the body.
+func (p *pass) interprocOne(pid il.PID, f *il.Function, entryPID il.PID) (*ipOutcome, bool) {
 	out := &ipOutcome{}
 
 	// IPCP: a parameter whose every (pre-inline) caller passes
@@ -705,13 +754,14 @@ func (p *pass) interprocOne(pid il.PID, f *il.Function, entryPID il.PID) *ipOutc
 	// Loop transformations: fully unroll small counted loops
 	// (often exposed only now, after IPCP and constant-global
 	// promotion turned trip counts into constants).
-	xform.Optimize(f)
+	changed := xform.Optimize(f) || len(out.ipcpParams) > 0 || out.constGlobals > 0
 	if xform.UnrollLoops(f, 256) {
 		out.unrolled = true
+		changed = true
 		xform.Optimize(f)
 	}
 	p.applyIPOutcome(pid, out)
-	return out
+	return out, changed
 }
 
 // deadFunctions finds functions unreachable from the entry after all
@@ -735,7 +785,7 @@ func (p *pass) deadFunctions(entry il.PID) {
 			adj[pid] = p.callees[pid]
 			continue
 		}
-		f := p.src.Function(pid)
+		f := p.src.View(pid)
 		if f == nil {
 			continue
 		}

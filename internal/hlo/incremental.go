@@ -108,7 +108,7 @@ func (p *pass) prehashScope(inc *Incremental) map[il.PID]string {
 		if !p.scope[pid] {
 			continue
 		}
-		if f := p.src.Function(pid); f != nil {
+		if f := p.src.View(pid); f != nil {
 			h0[pid] = inc.Hash(f)
 			p.src.DoneWith(pid)
 		}
@@ -308,7 +308,7 @@ func (p *pass) replayInline(inc *Incremental, caller il.PID, key string) bool {
 		}
 		rops = append(rops, resolved{callee: sym.PID, freq: op.freq, instrs: op.instrs})
 	}
-	f := p.src.Function(caller)
+	f := p.src.View(caller)
 	if f == nil {
 		return false
 	}
@@ -319,6 +319,7 @@ func (p *pass) replayInline(inc *Incremental, caller il.PID, key string) bool {
 			return false
 		}
 		*f = *nf
+		p.src.MarkDirty(caller)
 	}
 	callerMod := p.prog.Sym(caller).Module
 	for _, op := range rops {
@@ -339,7 +340,7 @@ func (p *pass) replayInline(inc *Incremental, caller il.PID, key string) bool {
 
 // storeInlineRecord persists one caller's inline-stage outcome.
 func (p *pass) storeInlineRecord(inc *Incremental, caller il.PID, key string, changed bool, ops []InlineOp) {
-	f := p.src.Function(caller)
+	f := p.src.View(caller)
 	if f == nil {
 		return
 	}

@@ -52,7 +52,7 @@ type candidate struct {
 // reports whether the body was touched (some candidate was accepted,
 // so splices and the local cleanup ran).
 func (p *pass) inlineFunction(caller il.PID) bool {
-	f := p.src.Function(caller)
+	f := p.src.View(caller)
 	if f == nil {
 		return false
 	}
@@ -117,6 +117,7 @@ func (p *pass) inlineFunction(caller il.PID) bool {
 		p.src.DoneWith(caller)
 		return false
 	}
+	p.src.MarkDirty(caller)
 	if p.opts.NoScheduleLocality {
 		// Ablation mode: deterministically interleave callees so that
 		// consecutive inlines touch different pools (the worst case
@@ -157,7 +158,7 @@ func (p *pass) inlineFunction(caller il.PID) bool {
 		if p.opts.MaxInlines > 0 && p.res.Stats.Inlines >= p.opts.MaxInlines {
 			break
 		}
-		callee := p.src.Function(c.pid)
+		callee := p.src.View(c.pid)
 		if callee == nil {
 			continue
 		}

@@ -74,7 +74,7 @@ func (p *pass) ipaForwardAll() {
 		if p.canceled() {
 			return
 		}
-		f := p.src.Function(pid)
+		f := p.src.View(pid)
 		if f == nil {
 			continue
 		}
@@ -88,6 +88,7 @@ func (p *pass) ipaForwardAll() {
 			d.fwd = int64(n)
 			d.changed = true
 			p.res.Stats.GLoadsForwarded += n
+			p.src.MarkDirty(pid)
 		}
 		p.src.DoneWith(pid)
 	}
@@ -103,7 +104,7 @@ func (p *pass) ipaDSEAll() {
 		if p.canceled() {
 			return
 		}
-		f := p.src.Function(pid)
+		f := p.src.View(pid)
 		if f == nil {
 			continue
 		}
@@ -116,6 +117,7 @@ func (p *pass) ipaDSEAll() {
 			d.dse = int64(n)
 			d.changed = true
 			p.res.Stats.GStoresKilled += n
+			p.src.MarkDirty(pid)
 		}
 		p.src.DoneWith(pid)
 	}
@@ -132,7 +134,7 @@ func (p *pass) ipaCSEAll() {
 		if p.canceled() {
 			return
 		}
-		f := p.src.Function(pid)
+		f := p.src.View(pid)
 		if f == nil {
 			continue
 		}
@@ -151,6 +153,7 @@ func (p *pass) ipaCSEAll() {
 			// drop the Nops, shrink what forwarding exposed.
 			xform.Optimize(f)
 			p.size[pid] = f.NumInstrs()
+			p.src.MarkDirty(pid)
 		}
 		if inc != nil {
 			p.storeIPARecord(inc, pid, f, d)
@@ -471,6 +474,7 @@ func (p *pass) replayIPA(inc *Incremental, pid il.PID, f *il.Function) bool {
 		}
 		*f = *nf
 		p.size[pid] = f.NumInstrs()
+		p.src.MarkDirty(pid)
 	}
 	p.res.Stats.GLoadsForwarded += int(d.fwd)
 	p.res.Stats.GStoresKilled += int(d.dse)

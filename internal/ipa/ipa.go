@@ -120,6 +120,11 @@ type Options struct {
 	// Span is the trace span the analysis nests under (the driver's
 	// "ipa" span). The zero Span records nothing.
 	Span obs.Span
+	// Visit, when non-nil, is called with every in-scope body the scan
+	// checks out, in PID order, while the body is still pinned. It
+	// lets another whole-program scan ride on this one (the driver
+	// builds HLO's initial scan here); it must only read the body.
+	Visit func(pid il.PID, f *il.Function)
 }
 
 // DefaultMaxSet is the default MOD/REF widening threshold.
@@ -140,10 +145,10 @@ type Result struct {
 	Stats     Stats
 }
 
-// Source provides function bodies, pinned from Function until the
-// matching DoneWith (the NAIM loader contract).
+// Source provides function bodies for reading, pinned from View until
+// the matching DoneWith (the NAIM loader's read checkout).
 type Source interface {
-	Function(pid il.PID) *il.Function
+	View(pid il.PID) *il.Function
 	DoneWith(pid il.PID)
 }
 
@@ -174,7 +179,7 @@ func Analyze(prog *il.Program, src Source, opts Options) *Result {
 		if !inScope(pid) {
 			continue
 		}
-		f := src.Function(pid)
+		f := src.View(pid)
 		if f == nil {
 			continue
 		}
@@ -198,6 +203,9 @@ func Analyze(prog *il.Program, src Source, opts Options) *Result {
 					}
 				}
 			}
+		}
+		if opts.Visit != nil {
+			opts.Visit(pid, f)
 		}
 		src.DoneWith(pid)
 		direct[pid] = d

@@ -53,7 +53,7 @@ type countingSource struct {
 	pinned map[il.PID]int
 }
 
-func (s *countingSource) Function(pid il.PID) *il.Function {
+func (s *countingSource) View(pid il.PID) *il.Function {
 	if s.fns[pid] == nil {
 		return nil
 	}

@@ -17,11 +17,15 @@ import (
 // integers: block indexes and PIDs. Derived-data fields are simply
 // not represented; they are recomputed after expansion.
 //
+// The header also carries the function's instruction and operand
+// totals, so decoding allocates one slab each for blocks, instructions
+// and operands instead of one slice per block and per call.
+//
 // Encoding a function and decoding it back ("uncompaction with eager
 // swizzling") must reproduce the IR exactly; tests enforce this by
 // comparing printed IR byte for byte.
 
-const funcMagic = 0xF1
+const funcMagic = 0xF2
 
 var errCorrupt = errors.New("naim: corrupt relocatable pool")
 
@@ -113,7 +117,14 @@ func (r *reader) value() il.Value {
 // output buffer is carved from the arena (nil means plain
 // allocation).
 func EncodeFunc(f *il.Function, a *Arena) []byte {
-	b := make([]byte, 0, 16+f.NumInstrs()*6)
+	ninstrs, nargs := 0, 0
+	for _, blk := range f.Blocks {
+		ninstrs += len(blk.Instrs)
+		for ii := range blk.Instrs {
+			nargs += len(blk.Instrs[ii].Args)
+		}
+	}
+	b := make([]byte, 0, 16+ninstrs*6)
 	b = append(b, funcMagic)
 	b = appendUvarint(b, uint64(f.PID))
 	b = appendUvarint(b, uint64(f.NParams))
@@ -122,6 +133,8 @@ func EncodeFunc(f *il.Function, a *Arena) []byte {
 	b = appendUvarint(b, uint64(f.SrcLines))
 	b = appendVarint(b, f.Calls)
 	b = appendUvarint(b, uint64(len(f.Blocks)))
+	b = appendUvarint(b, uint64(ninstrs))
+	b = appendUvarint(b, uint64(nargs))
 	for _, blk := range f.Blocks {
 		b = appendVarint(b, blk.Freq)
 		b = appendVarint(b, int64(blk.T))
@@ -151,7 +164,10 @@ func EncodeFunc(f *il.Function, a *Arena) []byte {
 // DecodeFunc expands a relocatable pool back into working form,
 // swizzling PID references against the program symbol table (the
 // paper's eager swizzling: all references in the pool are resolved at
-// load time).
+// load time). Blocks, instructions and call operands are cut from one
+// slab each; every cut is capped at its own length, so an in-place
+// append to a decoded block or call reallocates instead of writing
+// over its neighbour.
 func DecodeFunc(prog *il.Program, blob []byte) (*il.Function, error) {
 	r := &reader{b: blob}
 	if r.byte() != funcMagic {
@@ -169,16 +185,25 @@ func DecodeFunc(prog *il.Program, blob []byte) (*il.Function, error) {
 	if int(pid) < len(prog.Syms) {
 		f.Name = prog.Syms[pid].Name
 	}
-	nblocks := r.uvarint()
+	nblocks, ninstrs, nargs := r.uvarint(), r.uvarint(), r.uvarint()
 	if r.err != nil {
 		return nil, r.err
 	}
-	if nblocks > uint64(len(blob)) {
+	// Every count is bounded by the blob's length (each element takes
+	// at least one byte), so a corrupt header cannot force a huge
+	// allocation.
+	if nblocks > uint64(len(blob)) || ninstrs > uint64(len(blob)) || nargs > uint64(len(blob)) {
 		return nil, errCorrupt
 	}
-	f.Blocks = make([]*il.Block, 0, nblocks)
-	for bi := uint64(0); bi < nblocks; bi++ {
-		blk := &il.Block{}
+	blocks := make([]il.Block, nblocks)
+	instrs := make([]il.Instr, ninstrs)
+	var args []il.Value
+	if nargs > 0 {
+		args = make([]il.Value, nargs)
+	}
+	f.Blocks = make([]*il.Block, nblocks)
+	for bi := range blocks {
+		blk := &blocks[bi]
 		blk.Freq = r.varint()
 		blk.T = int32(r.varint())
 		blk.F = int32(r.varint())
@@ -186,35 +211,38 @@ func DecodeFunc(prog *il.Program, blob []byte) (*il.Function, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		if n > uint64(len(blob)) {
+		if n > uint64(len(instrs)) {
 			return nil, errCorrupt
 		}
-		blk.Instrs = make([]il.Instr, n)
-		for ii := uint64(0); ii < n; ii++ {
+		blk.Instrs, instrs = instrs[:n:n], instrs[n:]
+		for ii := range blk.Instrs {
 			in := &blk.Instrs[ii]
 			in.Op = il.Op(r.byte())
 			in.Dst = il.Reg(r.uvarint())
 			in.A = r.value()
 			in.B = r.value()
 			in.Sym = il.PID(r.uvarint())
-			nargs := r.uvarint()
+			na := r.uvarint()
 			if r.err != nil {
 				return nil, r.err
 			}
-			if nargs > uint64(len(blob)) {
+			if na > uint64(len(args)) {
 				return nil, errCorrupt
 			}
-			if nargs > 0 {
-				in.Args = make([]il.Value, nargs)
-				for ai := uint64(0); ai < nargs; ai++ {
+			if na > 0 {
+				in.Args, args = args[:na:na], args[na:]
+				for ai := range in.Args {
 					in.Args[ai] = r.value()
 				}
 			}
 		}
-		f.Blocks = append(f.Blocks, blk)
+		f.Blocks[bi] = blk
 	}
 	if r.err != nil {
 		return nil, r.err
+	}
+	if len(instrs) != 0 || len(args) != 0 {
+		return nil, errCorrupt
 	}
 	if r.off != len(blob) {
 		return nil, fmt.Errorf("naim: %d trailing bytes in relocatable pool", len(blob)-r.off)

@@ -20,20 +20,41 @@
 //
 // The loader's correctness contract is a strict checkout protocol:
 //
-//   - Loader.Function(pid) returns the expanded body and pins it.
-//     A pinned pool is never compacted, evicted, or spilled out from
-//     under its holder, no matter how far over budget the cache is.
+//   - Loader.Function(pid) and Loader.View(pid) return the expanded
+//     body and pin it. A pinned pool is never compacted, evicted, or
+//     spilled out from under its holder, no matter how far over budget
+//     the cache is.
+//   - Function is a write checkout: the holder may change the body in
+//     place. View is a read checkout: the holder only reads, or calls
+//     Loader.MarkDirty(pid) before releasing if it changed the body
+//     after all (HLO transforms view a body and mark it dirty only when
+//     they rewrote it).
 //   - Loader.DoneWith(pid) unpins one checkout. Pins nest: concurrent
 //     clients (Jobs > 1 codegen workers, verification passes) each
 //     hold their own pin on the same pool, and the pool stays
-//     resident until the count reaches zero.
+//     resident until the count reaches zero. Nothing may read the body
+//     after its holder's DoneWith; the pindiscipline lint flags a read
+//     that follows the release in the same function.
 //   - Every code path — success, error, cancellation — must balance
-//     each Function with exactly one DoneWith before leaving.
+//     each checkout with exactly one DoneWith before leaving.
 //     Loader.UnloadAll, called at pipeline end, reports the number of
 //     still-pinned pools; the pipeline surfaces that as
 //     BuildStats.PinLeaks and the cmoc driver treats nonzero as an
 //     internal error. Aborted builds annotate their error when the
 //     aborting stage left checkouts behind.
+//
+// A pool's compacted form is a cache of its content, not a move (the
+// paper's section 4.2 loader). A pool expanded from its relocatable
+// blob keeps that blob, or just its repository key once the blob was
+// spilled, and stays clean until a write checkout, MarkDirty or
+// InstallFunc invalidates it. Evicting a clean pool drops the expanded
+// form and falls back to what it kept: no encode, no hash, no
+// writeback. Only a dirty pool is encoded afresh, and at LevelDisk
+// only content the repository does not hold yet is written, so
+// Stats.DiskWrites counts appended records. A read checkout that
+// changes its body without MarkDirty loses the change at the next
+// eviction; the root package's one-slot LevelDisk differential test
+// catches such a site.
 //
 // # Concurrency
 //

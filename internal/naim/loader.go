@@ -103,7 +103,7 @@ type Stats struct {
 	Evictions   int64 // expanded routine pools compacted out of the cache
 	Compactions int64
 	Expansions  int64
-	DiskWrites  int64
+	DiskWrites  int64 // records the repository appended (duplicate content is not a write)
 	DiskReads   int64
 
 	CompactNanos int64 // time spent compacting + uncompacting
@@ -121,8 +121,8 @@ type Stats struct {
 	// queue — how far disk writes fell behind eviction.
 	WritebackPeakQueue int64
 	// WritebackBatches counts group-committed repository appends; the
-	// ratio DiskWrites / WritebackBatches is the average batch size the
-	// writer achieved (1.0 = no grouping ever paid off).
+	// ratio WritebackQueued / WritebackBatches is the average batch size
+	// the writer achieved (1.0 = no grouping ever paid off).
 	WritebackBatches int64
 }
 
@@ -135,16 +135,24 @@ const (
 	stOffloaded
 )
 
+// handle is one routine pool. While expanded, a clean pool (one no
+// write checkout has touched since it was expanded) keeps the
+// compacted form it came from — its repository key when it was read
+// back from disk, otherwise its blob — so evicting it just drops the
+// expanded form. A dirty pool has no compacted form: eviction encodes
+// it afresh.
 type handle struct {
 	pid     il.PID
 	st      status
 	gen     uint64 // spill generation; a landing write must match it
 	fn      *il.Function
 	blob    []byte
-	key     Key // repository content key once offloaded
+	key     Key  // repository content key of the pool's current content
+	hasKey  bool // key is valid: the content is stored in the repository
+	dirty   bool // fn was written since it was expanded (or installed)
 	bytes   int64
 	pending bool
-	pins    int           // clients holding the body via Function
+	pins    int           // clients holding the body via Function or View
 	elem    *list.Element // position in the shard's expanded-pool LRU
 }
 
@@ -345,9 +353,11 @@ func (l *Loader) getScope() obs.Span {
 func (l *Loader) symName(pid il.PID) string { return l.prog.Sym(pid).Name }
 
 // InstallFunc hands a freshly lowered (or otherwise constructed)
-// routine body to the loader.
+// routine body to the loader. The pool starts dirty: it has no
+// compacted form yet. Installing over an existing pool replaces it
+// outright, dropping whatever compacted form the old body had.
 func (l *Loader) InstallFunc(f *il.Function) {
-	h := &handle{pid: f.PID, st: stExpanded, fn: f, bytes: ExpandedFuncBytes(f)}
+	h := &handle{pid: f.PID, st: stExpanded, fn: f, dirty: true, bytes: ExpandedFuncBytes(f)}
 	s := l.shardFor(f.PID)
 	l.lockShard(s)
 	if old, ok := s.handles[f.PID]; ok {
@@ -367,17 +377,54 @@ func (l *Loader) InstallFunc(f *il.Function) {
 	l.enforce()
 }
 
-// Function returns the expanded body for pid, loading it from its
-// compacted or offloaded form if necessary. It returns nil for
-// uninstalled PIDs. The returned body may be mutated in place; the
-// loader re-measures it on the next touch. The body is checked out
-// (its pin count is raised): it will not be evicted — even under
-// cache or budget pressure — until a matching DoneWith drops the last
-// pin, so any number of clients may hold any number of bodies at once
-// without the loader invalidating one behind a client's back.
+// Function checks out the expanded body for pid for writing,
+// loading it from its compacted or offloaded form if necessary. It
+// returns nil for uninstalled PIDs. The body may be mutated in place;
+// the loader re-measures it on the next touch, and the checkout marks
+// the pool dirty, so its next eviction encodes it afresh. The body is
+// pinned (its pin count is raised): it will not be evicted — even
+// under cache or budget pressure — until a matching DoneWith drops the
+// last pin, so any number of clients may hold any number of bodies at
+// once without the loader invalidating one behind a client's back.
 // Checked-out pools may transiently overflow the cache bound; the
 // overflow is reclaimed as pins drop.
-func (l *Loader) Function(pid il.PID) *il.Function {
+func (l *Loader) Function(pid il.PID) *il.Function { return l.checkout(pid, true) }
+
+// View checks out the expanded body for pid for reading only. It pins
+// exactly like Function, but leaves the pool clean: evicting a pool
+// that only views touched since its last expansion drops the expanded
+// form without re-encoding or re-spilling it. A View holder must not
+// change the body — or, if it does after all, must call MarkDirty
+// before its DoneWith.
+func (l *Loader) View(pid il.PID) *il.Function { return l.checkout(pid, false) }
+
+// MarkDirty records that the holder of a View checkout changed the
+// body, so its next eviction encodes it. It must be called while the
+// caller still holds the pin.
+func (l *Loader) MarkDirty(pid il.PID) {
+	s := l.shardFor(pid)
+	l.lockShard(s)
+	if h, ok := s.handles[pid]; ok && h.st == stExpanded {
+		l.markDirty(h)
+	}
+	s.mu.Unlock()
+}
+
+// markDirty drops an expanded pool's compacted form, which no longer
+// matches the body. Caller holds the handle's shard lock.
+func (l *Loader) markDirty(h *handle) {
+	h.dirty = true
+	h.hasKey = false
+	if h.blob != nil {
+		l.adjust(-int64(len(h.blob)))
+		h.bytes -= int64(len(h.blob))
+		h.blob = nil
+	}
+}
+
+// checkout pins pid's body, expanding it if necessary; write marks
+// the pool dirty.
+func (l *Loader) checkout(pid il.PID, write bool) *il.Function {
 	s := l.shardFor(pid)
 	l.lockShard(s)
 	h, ok := s.handles[pid]
@@ -423,6 +470,9 @@ func (l *Loader) Function(pid il.PID) *il.Function {
 		h.bytes = int64(len(blob))
 		l.expand(h)
 	}
+	if write && !h.dirty {
+		l.markDirty(h)
+	}
 	h.pending = false
 	h.pins++
 	fn := h.fn
@@ -435,7 +485,7 @@ func (l *Loader) Function(pid il.PID) *il.Function {
 // grown or shrunk since last touch (inlining grows callers in place).
 // Caller holds the handle's shard lock.
 func (l *Loader) remeasure(h *handle) {
-	nb := ExpandedFuncBytes(h.fn)
+	nb := ExpandedFuncBytes(h.fn) + int64(len(h.blob))
 	if nb != h.bytes {
 		l.adjust(nb - h.bytes)
 		h.bytes = nb
@@ -443,9 +493,12 @@ func (l *Loader) remeasure(h *handle) {
 }
 
 // expand uncompacts a pool (with eager swizzling of PID references).
-// Caller holds the handle's shard lock; the decode runs under it, so
-// two clients racing to expand the same pool serialize here and the
-// second observes a plain cache hit.
+// The expanded pool starts clean and keeps its compacted form: the
+// repository key when the blob was read back from disk (the blob
+// itself is dropped), otherwise the blob. Caller holds the handle's
+// shard lock; the decode runs under it, so two clients racing to
+// expand the same pool serialize here and the second observes a plain
+// cache hit.
 func (l *Loader) expand(h *handle) {
 	scope := l.getScope()
 	var detail string
@@ -461,10 +514,13 @@ func (l *Loader) expand(h *handle) {
 	l.stats.expansions.Add(1)
 	l.ctr.expansions.Add(1)
 	h.fn = f
-	h.blob = nil
+	if h.hasKey {
+		h.blob = nil
+	}
 	h.st = stExpanded
+	h.dirty = false
 	h.gen = 0 // orphan any in-flight spill of the old blob
-	nb := ExpandedFuncBytes(f)
+	nb := ExpandedFuncBytes(f) + int64(len(h.blob))
 	l.adjust(nb - h.bytes)
 	h.bytes = nb
 	h.elem = l.shardFor(h.pid).lru.PushBack(h)
@@ -618,40 +674,51 @@ func (l *Loader) evictOne() bool {
 	return false
 }
 
-// compactHandle converts an expanded pool to relocatable form; at
-// LevelDisk it returns a spill job for the writeback goroutine (the
-// pool is accounted at blob size — "dirty" — until the write lands).
-// Caller holds the shard lock.
+// compactHandle evicts an expanded pool to relocatable form. A clean
+// pool just drops its expanded form and falls back to the compacted
+// form it kept; a dirty one is encoded afresh. At LevelDisk a pool
+// whose content is not in the repository yet comes back as a spill
+// job for the writeback goroutine (the pool is accounted at blob size
+// until the write lands). Caller holds the shard lock.
 func (l *Loader) compactHandle(s *shard, h *handle) *spillJob {
 	l.remeasure(h)
-	scope := l.getScope()
-	var detail string
-	if scope.Enabled() {
-		detail = l.symName(h.pid)
-	}
-	sp := scope.ChildDetail("naim compact", detail)
-	// Function blobs use plain allocation rather than the arena: a
-	// pool may cycle through compact/expand many times, and arena
-	// space is only reclaimed wholesale. Module symtab blobs (below)
-	// are compacted once and do use the arena.
-	blob := EncodeFunc(h.fn, nil)
-	l.stats.compactNanos.Add(sp.End())
-	l.stats.compactions.Add(1)
 	l.stats.evictions.Add(1)
-	l.ctr.compactions.Add(1)
 	l.ctr.evictions.Add(1)
 	s.lru.Remove(h.elem)
 	l.expanded.Add(-1)
 	h.elem = nil
-	h.fn = nil
 	h.pending = false
-	h.blob = blob
-	l.adjust(int64(len(blob)) - h.bytes)
-	h.bytes = int64(len(blob))
+	if h.dirty {
+		scope := l.getScope()
+		var detail string
+		if scope.Enabled() {
+			detail = l.symName(h.pid)
+		}
+		sp := scope.ChildDetail("naim compact", detail)
+		// Function blobs use plain allocation rather than the arena: a
+		// pool may cycle through compact/expand many times, and arena
+		// space is only reclaimed wholesale. Module symtab blobs (below)
+		// are compacted once and do use the arena.
+		h.blob = EncodeFunc(h.fn, nil)
+		l.stats.compactNanos.Add(sp.End())
+		l.stats.compactions.Add(1)
+		l.ctr.compactions.Add(1)
+		h.dirty = false
+	}
+	h.fn = nil
+	if h.hasKey {
+		h.st = stOffloaded
+		h.blob = nil
+		l.adjust(BytesPerHandle - h.bytes)
+		h.bytes = BytesPerHandle
+		return nil
+	}
+	l.adjust(int64(len(h.blob)) - h.bytes)
+	h.bytes = int64(len(h.blob))
 	if l.Level() >= LevelDisk {
 		h.st = stSpilling
 		h.gen = l.genSeq.Add(1)
-		return &spillJob{pid: h.pid, gen: h.gen, blob: blob}
+		return &spillJob{pid: h.pid, gen: h.gen, blob: h.blob}
 	}
 	h.st = stCompacted
 	return nil
@@ -669,6 +736,7 @@ func (l *Loader) landSpill(j spillJob, key Key) {
 	if ok && h.st == stSpilling && h.gen == j.gen {
 		h.st = stOffloaded
 		h.key = key
+		h.hasKey = true
 		h.blob = nil
 		l.adjust(BytesPerHandle - h.bytes)
 		h.bytes = BytesPerHandle

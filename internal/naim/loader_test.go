@@ -12,7 +12,7 @@ import (
 
 // genModules produces n small modules with f functions each, lowered
 // to IL, for loader stress tests.
-func genModules(t *testing.T, n, fPerMod int) (*il.Program, map[il.PID]*il.Function) {
+func genModules(t testing.TB, n, fPerMod int) (*il.Program, map[il.PID]*il.Function) {
 	t.Helper()
 	var files []*source.File
 	for mi := 0; mi < n; mi++ {

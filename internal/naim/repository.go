@@ -380,11 +380,12 @@ func (r *Repository) PutContent(blob []byte) (Key, error) {
 // single buffer and land with one WriteAt, so a burst of spills pays
 // one lock acquisition and one system call instead of one each.
 // Duplicates (already stored, or repeated within the batch) are
-// skipped like Put skips them; every position still gets its key. The
-// index is updated only after the write succeeds, so a failed batch
-// stores nothing.
-func (r *Repository) PutBatch(blobs [][]byte) ([]Key, error) {
-	keys := make([]Key, len(blobs))
+// skipped like Put skips them; every position still gets its key, and
+// appended counts only the records that actually landed. The index is
+// updated only after the write succeeds, so a failed batch stores
+// nothing.
+func (r *Repository) PutBatch(blobs [][]byte) (keys []Key, appended int, err error) {
+	keys = make([]Key, len(blobs))
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var rec []byte
@@ -414,10 +415,10 @@ func (r *Repository) PutBatch(blobs [][]byte) ([]Key, error) {
 		nBytes += int64(len(b))
 	}
 	if len(rec) == 0 {
-		return keys, nil
+		return keys, 0, nil
 	}
 	if _, err := r.f.WriteAt(rec, r.off); err != nil {
-		return keys, fmt.Errorf("naim: repository batch write: %w", err)
+		return keys, 0, fmt.Errorf("naim: repository batch write: %w", err)
 	}
 	for k, e := range staged {
 		r.index[k] = e
@@ -425,7 +426,7 @@ func (r *Repository) PutBatch(blobs [][]byte) ([]Key, error) {
 	r.off += int64(len(rec))
 	r.writes.Add(nWrites)
 	r.bytesW.Add(nBytes)
-	return keys, nil
+	return keys, int(nWrites), nil
 }
 
 // Get returns the blob stored under key. Missing keys return

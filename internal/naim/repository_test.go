@@ -426,9 +426,12 @@ func TestRepositoryPutBatch(t *testing.T) {
 		[]byte("fresh"),
 		bytes.Repeat([]byte{0x5C}, 20000),
 	}
-	keys, err := repo.PutBatch(blobs)
+	keys, appended, err := repo.PutBatch(blobs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if appended != 3 {
+		t.Errorf("PutBatch appended %d records, want 3", appended)
 	}
 	if len(keys) != len(blobs) {
 		t.Fatalf("got %d keys for %d blobs", len(keys), len(blobs))
@@ -483,14 +486,17 @@ func TestRepositoryPutBatchEmptyAndAllDup(t *testing.T) {
 	}
 	defer repo.Close()
 
-	if keys, err := repo.PutBatch(nil); err != nil || len(keys) != 0 {
-		t.Fatalf("empty batch: keys=%v err=%v", keys, err)
+	if keys, n, err := repo.PutBatch(nil); err != nil || len(keys) != 0 || n != 0 {
+		t.Fatalf("empty batch: keys=%v appended=%d err=%v", keys, n, err)
 	}
 	k, _ := repo.PutContent([]byte("x"))
 	before := repo.Size()
-	keys, err := repo.PutBatch([][]byte{[]byte("x"), []byte("x")})
+	keys, n, err := repo.PutBatch([][]byte{[]byte("x"), []byte("x")})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Errorf("all-duplicate batch appended %d records", n)
 	}
 	if keys[0] != k || keys[1] != k {
 		t.Errorf("all-duplicate batch returned wrong keys")

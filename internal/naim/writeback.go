@@ -153,13 +153,15 @@ func (l *Loader) landBatch(run []spillJob) {
 	for i := range run {
 		blobs[i] = run[i].blob
 	}
-	keys, err := l.getRepo().PutBatch(blobs)
+	keys, appended, err := l.getRepo().PutBatch(blobs)
 	l.stats.diskNanos.Add(sp.End())
 	if err != nil {
 		panic(fmt.Sprintf("naim: repository write failed: %v", err))
 	}
-	l.stats.diskWrites.Add(int64(len(run)))
-	l.ctr.diskWrites.Add(int64(len(run)))
+	// A spill whose content the repository already holds lands at the
+	// existing record; only appended records are disk writes.
+	l.stats.diskWrites.Add(int64(appended))
+	l.ctr.diskWrites.Add(int64(appended))
 	l.stats.writebackBatches.Add(1)
 	l.ctr.wbBatches.Add(1)
 	for i := range run {

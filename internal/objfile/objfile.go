@@ -65,7 +65,9 @@ type ILEntry struct {
 func (o *Object) HasIL() bool { return len(o.IL) > 0 }
 
 var (
-	objMagic   = []byte("VPAO\x01")
+	// Version 2: the relocatable IL pools carry instruction and operand
+	// totals (naim.EncodeFunc).
+	objMagic   = []byte("VPAO\x02")
 	imgMagic   = []byte("VPAX\x01")
 	errBadData = errors.New("objfile: malformed file")
 )

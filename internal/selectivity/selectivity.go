@@ -51,9 +51,16 @@ type Choice struct {
 	SelectedLines int
 }
 
+// Source provides function bodies for reading, pinned from View until
+// the matching DoneWith (the NAIM loader's read checkout).
+type Source interface {
+	View(pid il.PID) *il.Function
+	DoneWith(pid il.PID)
+}
+
 // EnumerateSites lists every static call site in the program, pulling
 // bodies through src. Order is deterministic (PID, block, sequence).
-func EnumerateSites(prog *il.Program, src func(il.PID) *il.Function, db *profile.DB) []Site {
+func EnumerateSites(prog *il.Program, src Source, db *profile.DB) []Site {
 	return EnumerateSitesJobs(prog, src, db, 1)
 }
 
@@ -87,7 +94,7 @@ func siteScan(prog *il.Program, pid il.PID, f *il.Function, db *profile.DB, dst 
 // is). Each routine's sites land in a per-PID slot and the slots are
 // concatenated in PID order, so the result is byte-for-byte the
 // sequential enumeration at any job count.
-func EnumerateSitesJobs(prog *il.Program, src func(il.PID) *il.Function, db *profile.DB, jobs int) []Site {
+func EnumerateSitesJobs(prog *il.Program, src Source, db *profile.DB, jobs int) []Site {
 	pids := prog.FuncPIDs()
 	if jobs > len(pids) {
 		jobs = len(pids)
@@ -95,8 +102,9 @@ func EnumerateSitesJobs(prog *il.Program, src func(il.PID) *il.Function, db *pro
 	if jobs <= 1 {
 		var sites []Site
 		for _, pid := range pids {
-			if f := src(pid); f != nil {
+			if f := src.View(pid); f != nil {
 				siteScan(prog, pid, f, db, &sites)
+				src.DoneWith(pid)
 			}
 		}
 		return sites
@@ -113,8 +121,9 @@ func EnumerateSitesJobs(prog *il.Program, src func(il.PID) *il.Function, db *pro
 				if i >= len(pids) {
 					return
 				}
-				if f := src(pids[i]); f != nil {
+				if f := src.View(pids[i]); f != nil {
 					siteScan(prog, pids[i], f, db, &slots[i])
+					src.DoneWith(pids[i])
 				}
 			}
 		}()
@@ -130,14 +139,14 @@ func EnumerateSitesJobs(prog *il.Program, src func(il.PID) *il.Function, db *pro
 // Select applies the user's selection percentage to the program's
 // call sites. percent is clamped to [0, 100]; 0 selects nothing
 // (pure default-level compilation) and 100 selects every site.
-func Select(prog *il.Program, src func(il.PID) *il.Function, db *profile.DB, percent float64) *Choice {
+func Select(prog *il.Program, src Source, db *profile.DB, percent float64) *Choice {
 	return SelectJobs(prog, src, db, percent, 1)
 }
 
 // SelectJobs is Select with the site enumeration fanned out over jobs
 // goroutines (src must be concurrency-safe). The ranking, cut, and
 // resulting Choice are identical at any job count.
-func SelectJobs(prog *il.Program, src func(il.PID) *il.Function, db *profile.DB, percent float64, jobs int) *Choice {
+func SelectJobs(prog *il.Program, src Source, db *profile.DB, percent float64, jobs int) *Choice {
 	if percent < 0 {
 		percent = 0
 	}

@@ -55,9 +55,13 @@ func setup(t *testing.T) (*il.Program, map[il.PID]*il.Function, *profile.DB) {
 	return res.Prog, res.Funcs, profile.FromCounters(m, counters)
 }
 
-func src(fns map[il.PID]*il.Function) func(il.PID) *il.Function {
-	return func(p il.PID) *il.Function { return fns[p] }
-}
+// mapSource serves bodies from a map; checkouts are free.
+type mapSource map[il.PID]*il.Function
+
+func (m mapSource) View(pid il.PID) *il.Function { return m[pid] }
+func (m mapSource) DoneWith(il.PID)              {}
+
+func src(fns map[il.PID]*il.Function) Source { return mapSource(fns) }
 
 func TestEnumerateSites(t *testing.T) {
 	prog, fns, db := setup(t)

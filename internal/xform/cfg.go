@@ -264,21 +264,25 @@ func (s *scratch) mergeChains(f *il.Function) bool {
 // branch folding, CFG cleanup, and DCE, iterated to a fixed point.
 // This is what +O2 runs per routine and what HLO re-runs after
 // inlining (the paper's "minimum amount of analysis and
-// transformation" for unselected routines skips it).
-func Optimize(f *il.Function) {
+// transformation" for unselected routines skips it). It reports
+// whether anything changed.
+func Optimize(f *il.Function) bool {
 	s := getScratch()
 	defer scratchPool.Put(s)
-	s.optimize(f)
+	return s.optimize(f)
 }
 
-func (s *scratch) optimize(f *il.Function) {
+func (s *scratch) optimize(f *il.Function) bool {
+	changed := false
 	for i := 0; i < 10; i++ {
 		c := s.localOptimize(f)
 		c = FoldBranches(f) || c
 		c = s.cleanup(f) || c
 		c = s.dce(f) || c
 		if !c {
-			return
+			break
 		}
+		changed = true
 	}
+	return changed
 }

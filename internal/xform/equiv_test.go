@@ -100,7 +100,7 @@ func checkAgainstRef(t *testing.T, cf corpusFunc) {
 	// Optimize: folded locally, branches folded.
 	prep := func(f *il.Function) { refLocalOptimize(f); FoldBranches(f) }
 	passes := []pass{
-		{"Optimize", Optimize, refOptimize},
+		{"Optimize", func(f *il.Function) { Optimize(f) }, refOptimize},
 		{"DCE", func(f *il.Function) { DCE(f) }, func(f *il.Function) { refDCE(f) }},
 		{"Cleanup", func(f *il.Function) { Cleanup(f) }, func(f *il.Function) { refCleanup(f) }},
 		{"LocalOptimize", func(f *il.Function) { LocalOptimize(f) }, func(f *il.Function) { refLocalOptimize(f) }},
@@ -168,6 +168,38 @@ func TestPassesMatchReference(t *testing.T) {
 	}
 	if refUnrolls == 0 {
 		t.Error("no corpus function had a loop unrolled")
+	}
+}
+
+// TestOptimizeReportsChange: Optimize reports a change exactly when
+// the body's text changed. HLO marks a read-checked-out body dirty
+// only on that report, so a change it misses would be dropped the
+// next time the NAIM loader evicts the body.
+func TestOptimizeReportsChange(t *testing.T) {
+	var corpus []corpusFunc
+	for seed := int64(0); seed < 50; seed++ {
+		corpus = append(corpus, generatedCorpus(seed)...)
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		corpus = append(corpus, loweredCorpus(t, seed)...)
+	}
+	seen := map[bool]int{}
+	for _, cf := range corpus {
+		f := cf.f.Clone()
+		// The second round meets a body already at Optimize's fixed
+		// point, where the report should be false.
+		for round := 0; round < 2; round++ {
+			before := dump(cf.prog, f)
+			changed := Optimize(f)
+			if after := dump(cf.prog, f); changed != (after != before) {
+				t.Fatalf("%s round %d: Optimize reported changed=%v, text changed=%v\ninput:\n%s\noutput:\n%s",
+					cf.name, round, changed, after != before, before, after)
+			}
+			seen[changed]++
+		}
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Errorf("corpus exercised only one outcome: %v", seen)
 	}
 }
 

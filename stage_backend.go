@@ -22,8 +22,8 @@ import (
 // The LLO stage's scheduler: the pipeline's WHOPR split. HLO is the
 // summary-driven whole-program phase; everything after it is per
 // routine, so the stage (1) extracts every surviving routine's tier,
-// call edges and portable body hash, pinning each body only for that,
-// (2) groups routines into balanced callgraph-aware partitions
+// call edges and portable body hash on Jobs workers, pinning each body
+// once, (2) groups routines into balanced callgraph-aware partitions
 // (internal/partition) with a deterministic fingerprint each, (3)
 // replays members that are clean against the session repository —
 // warm builds only schedule dirty partitions — and (4) runs the dirty
@@ -33,9 +33,12 @@ import (
 // A local worker compiles the way the paper's per-routine LLO does:
 // it checks each member's body out of the loader, runs llo.Compile
 // and releases the pin, and the compiled routine goes straight into
-// the code map. Codecs sit only at the two seams that need bytes. When
-// the build caches objects (a graph-scheduled session build), each
-// compiled routine is encoded for the repository. When a partition
+// the code map. On a build that neither caches objects nor has remote
+// workers every routine compiles locally, so extraction compiles it
+// under the pin it already holds and each body is expanded once.
+// Codecs sit only at the two seams that need bytes. When the build
+// caches objects (a graph-scheduled session build), each compiled
+// routine is encoded for the repository. When a partition
 // goes to a remote daemon, its bodies are encoded under a short pin
 // each, released before the network call, and the returned objects
 // are decoded against this build's program. A remote failure of any
@@ -75,9 +78,16 @@ type lloMember struct {
 	name     string
 	level    int
 	pbo      bool
+	tier     lloTierKind
 	bodyHash naim.Key // naim.HashPortableFunc of the post-HLO body
 	key      naim.Key // object cache key (caching builds only)
 	size     int
+	calls    []il.PID // callee of each call instruction, in body order
+
+	// obj is the routine compiled under its extract pin (builds that
+	// compile every routine locally), compiled in nanos.
+	obj   *vpa.Func
+	nanos int64
 }
 
 // backendUnit is one partition's dispatch state.
@@ -112,53 +122,35 @@ func (b *Build) runLLO(loader *naim.Loader, opt Options, sess *Session, omit map
 	multiLayer := opt.MultiLayer && opt.Level >= O4 && opt.DB != nil
 	optFP := hloOptionsFingerprint(opt)
 
-	// Phase 1: extract. One sequential pass in PID order — tier
-	// classification mutates stats and must stay deterministic — that
-	// pins each body just long enough to hash its portable form and
-	// collect its call edges, then releases it.
+	// Phase 1: extract (extractMembers). Tier counts, items and edge
+	// weights are then folded in PID order, so they stay deterministic
+	// at any job count.
 	pids := make([]il.PID, 0, len(prog.FuncPIDs()))
 	for _, pid := range prog.FuncPIDs() {
 		if !omit[pid] {
 			pids = append(pids, pid)
 		}
 	}
+	eager := !caching && len(opt.RemoteWorkers) == 0
+	extracted, err := b.extractMembers(loader, opt, pids, multiLayer, eager, lsp)
+	if err != nil {
+		return nil, err
+	}
 	members := make(map[string]*lloMember, len(pids))
 	items := make([]partition.Item, 0, len(pids))
 	type edgeKey struct{ a, b string }
 	edgeW := make(map[edgeKey]int64)
-	for _, pid := range pids {
-		if err := opt.ctxErr(); err != nil {
-			return nil, err
-		}
-		f := loader.Function(pid)
-		if f == nil {
-			return nil, fmt.Errorf("cmo: no body for %s", prog.Sym(pid).Name)
-		}
-		sym := prog.Sym(pid)
-		level, pbo := b.lloTier(opt, multiLayer, pid, f)
-		m := &lloMember{
-			pid:      pid,
-			name:     sym.Name,
-			level:    level,
-			pbo:      pbo,
-			bodyHash: naim.HashPortableFunc(prog, f),
-			size:     f.NumInstrs(),
-		}
+	for _, m := range extracted {
 		if caching {
 			m.key = lloObjectKey(optFP, m.name, m.bodyHash, m.level, m.pbo)
 		}
-		for _, blk := range f.Blocks {
-			for i := range blk.Instrs {
-				in := &blk.Instrs[i]
-				if in.Op != il.Call {
-					continue
-				}
-				edgeW[edgeKey{sym.Name, prog.Sym(in.Sym).Name}]++
-			}
+		b.countTier(m.tier)
+		for _, callee := range m.calls {
+			edgeW[edgeKey{m.name, prog.Sym(callee).Name}]++
 		}
-		loader.DoneWith(pid)
+		m.calls = nil
 		members[m.name] = m
-		items = append(items, partition.Item{ID: m.name, Module: int(sym.Module), Size: int64(m.size)})
+		items = append(items, partition.Item{ID: m.name, Module: int(prog.Sym(m.pid).Module), Size: int64(m.size)})
 	}
 	if gp != nil {
 		b.Stats.GraphFrontierDepth = len(pids)
@@ -343,6 +335,88 @@ func (b *Build) runLLO(loader *naim.Loader, opt Options, sess *Session, omit map
 	return code, nil
 }
 
+// extractMembers checks each routine out once for reading, on Jobs
+// workers, and records what partitioning, fingerprints and cache keys
+// need. With eager set it also compiles the routine under that pin.
+// An eager compile that fails leaves the routine, and every routine
+// after it, to the dispatcher, which compiles it again and reports the
+// failure through its usual path. Members come back in pids order.
+func (b *Build) extractMembers(loader *naim.Loader, opt Options, pids []il.PID, multiLayer, eager bool, lsp obs.Span) ([]*lloMember, error) {
+	prog := b.Prog
+	verify := b.lloVerifyHook(opt)
+	out := make([]*lloMember, len(pids))
+	var (
+		mu       sync.Mutex
+		firstErr error
+		stop     atomic.Bool
+		noEager  atomic.Bool
+		next     atomic.Int64
+		wg       sync.WaitGroup
+	)
+	extractOne := func(pid il.PID) (*lloMember, error) {
+		f := loader.View(pid)
+		if f == nil {
+			return nil, fmt.Errorf("cmo: no body for %s", prog.Sym(pid).Name)
+		}
+		defer loader.DoneWith(pid)
+		m := &lloMember{
+			pid:      pid,
+			name:     prog.Sym(pid).Name,
+			bodyHash: naim.HashPortableFunc(prog, f),
+			size:     f.NumInstrs(),
+		}
+		m.level, m.pbo, m.tier = b.lloTier(opt, multiLayer, pid, f)
+		for _, blk := range f.Blocks {
+			for i := range blk.Instrs {
+				if in := &blk.Instrs[i]; in.Op == il.Call {
+					m.calls = append(m.calls, in.Sym)
+				}
+			}
+		}
+		if eager && !noEager.Load() {
+			start := time.Now()
+			mf, err := llo.Compile(prog, f, llo.Options{Level: m.level, PBO: m.pbo, Span: lsp, Verify: verify})
+			if err != nil {
+				noEager.Store(true)
+			} else {
+				m.obj, m.nanos = mf, time.Since(start).Nanoseconds()
+			}
+		}
+		return m, nil
+	}
+	for w := min(max(opt.Jobs, 1), len(pids)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(pids) {
+					return
+				}
+				m, err := extractOne(pids[i])
+				if err == nil {
+					err = opt.ctxErr()
+				}
+				if err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					stop.Store(true)
+					return
+				}
+				out[i] = m
+			}
+		}()
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return out, nil
+}
+
 // dispatchPartitions drains the priority-ordered dirty queue across
 // Jobs local workers plus one puller per remote daemon. Only each
 // unit's dirty members are compiled — replayed members already hold
@@ -411,7 +485,8 @@ func (b *Build) dispatchPartitions(queue []*backendUnit, total int, loader *naim
 	// compileLocal compiles a unit's dirty members straight from the
 	// loader: the pool's work, and the fallback for a failed remote
 	// attempt. llo.Compile clones the body before transforming it, so
-	// workers share the loader's bodies read-only.
+	// workers share the loader's bodies through read checkouts. A
+	// member extraction already compiled only hands its object over.
 	compileLocal := func(u *backendUnit, via string) ([]int64, error) {
 		sp := lsp.ChildDetail("partition", fmt.Sprintf("p%d/%d via %s (%d fns)", u.idx, total, via, len(u.dirty)))
 		defer sp.End()
@@ -421,8 +496,12 @@ func (b *Build) dispatchPartitions(queue []*backendUnit, total int, loader *naim
 				return nil, err
 			}
 			m := u.members[di]
+			if m.obj != nil {
+				u.objs[di], nanos[i] = m.obj, m.nanos
+				continue
+			}
 			start := time.Now()
-			f := loader.Function(m.pid)
+			f := loader.View(m.pid)
 			if f == nil {
 				return nil, fmt.Errorf("cmo: no body for %s", m.name)
 			}
@@ -448,7 +527,7 @@ func (b *Build) dispatchPartitions(queue []*backendUnit, total int, loader *naim
 		funcs := make([]backend.Func, len(u.dirty))
 		for i, di := range u.dirty {
 			m := u.members[di]
-			f := loader.Function(m.pid)
+			f := loader.View(m.pid)
 			if f == nil {
 				return nil, fmt.Errorf("cmo: no body for %s", m.name)
 			}

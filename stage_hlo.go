@@ -56,13 +56,16 @@ func (b *Build) runHLO(loader *naim.Loader, opt Options, sess *Session, volatile
 	// MOD/REF effects and purity before HLO mutates anything, so the
 	// fact-gated transforms can see across calls. Like select, the
 	// "ipa" span nests inside the hlo phase and its cost is reported
-	// as an informational share (Stats.IPANanos).
+	// as an informational share (Stats.IPANanos). Its scan checks out
+	// exactly the bodies HLO's initial scan needs, so HLO's scan rides
+	// on it instead of sweeping the scope a second time.
 	if !opt.NoIPA {
 		if err := opt.ctxErr(); err != nil {
 			return err
 		}
 		isp := hsp.Child("ipa")
-		ires := ipa.Analyze(prog, loader, ipa.Options{Scope: sel.scope, Span: isp})
+		hopts.Scan = hlo.NewScan()
+		ires := ipa.Analyze(prog, loader, ipa.Options{Scope: sel.scope, Span: isp, Visit: hopts.Scan.Add})
 		b.Stats.IPANanos = isp.End()
 		hopts.Summaries = ires.Summaries
 		if tr := hsp.Trace(); tr != nil {
@@ -212,7 +215,7 @@ func (b *Build) summarizeOutOfScope(loader *naim.Loader, scope map[il.PID]bool, 
 	}
 	if jobs <= 1 {
 		for _, pid := range pids {
-			if f := loader.Function(pid); f != nil {
+			if f := loader.View(pid); f != nil {
 				scanOne(f, extCalled, extStored)
 				loader.DoneWith(pid)
 			}
@@ -233,7 +236,7 @@ func (b *Build) summarizeOutOfScope(loader *naim.Loader, scope map[il.PID]bool, 
 				if i >= len(pids) {
 					break
 				}
-				if f := loader.Function(pids[i]); f != nil {
+				if f := loader.View(pids[i]); f != nil {
 					scanOne(f, p.called, p.stored)
 					loader.DoneWith(pids[i])
 				}

@@ -46,23 +46,44 @@ func (b *Build) lloVerifyHook(opt Options) func(*il.Function) error {
 	}
 }
 
-// lloTier applies the multi-layer tier policy for one routine.
-// Callers serialize it (it mutates tier stats).
-func (b *Build) lloTier(opt Options, multiLayer bool, pid il.PID, f *il.Function) (int, bool) {
+// lloTierKind is the multi-layer tier a routine was classified into
+// (tierNone without multi-layer compilation).
+type lloTierKind uint8
+
+const (
+	tierNone lloTierKind = iota
+	tierCold
+	tierWarm
+	tierHot
+)
+
+// lloTier applies the multi-layer tier policy for one routine. It only
+// reads the build, so parallel extract workers may call it; the caller
+// counts the returned tier with countTier.
+func (b *Build) lloTier(opt Options, multiLayer bool, pid il.PID, f *il.Function) (int, bool, lloTierKind) {
 	lloLevel := lloBaseLevel(opt)
 	if !multiLayer {
-		return lloLevel, opt.PBO
+		return lloLevel, opt.PBO, tierNone
 	}
 	switch {
 	case f.Calls == 0:
 		// Never executed during training: cheapest codegen.
-		b.Stats.TierCold++
-		return 1, false
+		return 1, false, tierCold
 	case !b.selectedFns[pid]:
-		b.Stats.TierWarm++
-		return lloLevel, opt.PBO
+		return lloLevel, opt.PBO, tierWarm
 	default:
+		return lloLevel, opt.PBO, tierHot
+	}
+}
+
+// countTier records one routine's tier in the build stats.
+func (b *Build) countTier(t lloTierKind) {
+	switch t {
+	case tierCold:
+		b.Stats.TierCold++
+	case tierWarm:
+		b.Stats.TierWarm++
+	case tierHot:
 		b.Stats.TierHot++
-		return lloLevel, opt.PBO
 	}
 }

@@ -69,11 +69,7 @@ func (b *Build) runSelect(loader *naim.Loader, opt Options, ssp obs.Span) (*sele
 		sel.selected = scope
 		sel.extCalled, sel.extStored = b.summarizeOutOfScope(loader, scope, opt.Jobs)
 	case opt.SelectPercent >= 0 && opt.DB != nil:
-		ch := selectivity.SelectJobs(prog, func(pid il.PID) *il.Function {
-			f := loader.Function(pid)
-			loader.DoneWith(pid)
-			return f
-		}, opt.DB, opt.SelectPercent, opt.Jobs)
+		ch := selectivity.SelectJobs(prog, loader, opt.DB, opt.SelectPercent, opt.Jobs)
 		b.Stats.TotalSites = ch.TotalSites
 		b.Stats.SelectedSites = len(ch.Sites)
 		b.Stats.CMOModules = len(ch.Modules)
