@@ -161,12 +161,6 @@ type Options struct {
 	// incremental.go). Replay never changes what the run produces —
 	// only how much of it is recomputed. Ignored when MaxInlines > 0.
 	Incremental *Incremental
-	// Scan, when non-nil, is the initial scan already taken over
-	// exactly the in-scope bodies (Scope, or the whole program), by a
-	// caller that checked them out anyway: the ipa stage feeds it
-	// through ipa.Options.Visit. Optimize then skips its own scan
-	// sweep. Optimize takes the Scan over; it must not be reused.
-	Scan *Scan
 	// Cancel, when non-nil, is polled at per-function granularity
 	// inside every transform loop (scan, inline, interproc, dce). A
 	// non-nil return aborts the run: Optimize returns that error
@@ -485,92 +479,63 @@ func (p *pass) canceled() bool {
 	return false
 }
 
-// Scan is HLO's initial scan: the call graph, the stored-global set,
-// the constant-argument lattice and function sizes — the
-// whole-program facts that require examining all in-scope routines,
-// selected or not (paper section 5: "information about routines not
-// selected for optimization can influence the optimization of
-// selected routines"). Add reads a body and keeps nothing of it.
-type Scan struct {
-	callees map[il.PID][]il.PID
-	callers map[il.PID][]il.PID
-	stored  map[il.PID]bool // globals stored by a scanned body
-	args    map[il.PID]*argState
-	size    map[il.PID]int
-	funcs   int
-}
-
-// NewScan returns an empty scan.
-func NewScan() *Scan {
-	return &Scan{
-		callees: make(map[il.PID][]il.PID),
-		callers: make(map[il.PID][]il.PID),
-		stored:  make(map[il.PID]bool),
-		args:    make(map[il.PID]*argState),
-		size:    make(map[il.PID]int),
-	}
-}
-
-// Add scans one body. Bodies must be added in PID order, so that
-// call-graph edge order, and with it every traversal order HLO
-// derives, matches Optimize's own sweep.
-func (s *Scan) Add(pid il.PID, f *il.Function) {
-	s.funcs++
-	s.size[pid] = f.NumInstrs()
-	seen := make(map[il.PID]bool)
-	for _, b := range f.Blocks {
-		for ii := range b.Instrs {
-			in := &b.Instrs[ii]
-			switch in.Op {
-			case il.StoreG, il.StoreX:
-				s.stored[in.Sym] = true
-			case il.Call:
-				if !seen[in.Sym] {
-					seen[in.Sym] = true
-					s.callees[pid] = append(s.callees[pid], in.Sym)
-					s.callers[in.Sym] = append(s.callers[in.Sym], pid)
-				}
-				s.meetArgs(in)
-			}
-		}
-	}
-}
-
-// initialScan takes Options.Scan, or reads every in-scope body once
-// to build one, then labels the call graph's SCCs.
+// initialScan reads every module's code once, building the call
+// graph, the stored-global set, the constant-argument lattice, and
+// function sizes — the whole-program facts that require examining all
+// routines, selected or not (paper section 5: "information about
+// routines not selected for optimization can influence the
+// optimization of selected routines").
 func (p *pass) initialScan() {
-	s := p.opts.Scan
-	if s == nil {
-		s = NewScan()
-		for _, pid := range p.prog.FuncPIDs() {
-			if !p.scope[pid] {
-				continue
-			}
-			if p.canceled() {
-				return
-			}
-			f := p.src.View(pid)
-			if f == nil {
-				continue
-			}
-			s.Add(pid, f)
-			p.src.DoneWith(pid)
-		}
-	}
-	p.callees, p.callers, p.stored, p.args, p.size = s.callees, s.callers, s.stored, s.args, s.size
+	p.callees = make(map[il.PID][]il.PID)
+	p.callers = make(map[il.PID][]il.PID)
+	p.stored = make(map[il.PID]bool)
+	p.args = make(map[il.PID]*argState)
+	p.size = make(map[il.PID]int)
 	for pid := range p.opts.ExternStored {
 		p.stored[pid] = true
 	}
-	p.res.Stats.ScannedFuncs = s.funcs
+
+	for _, pid := range p.prog.FuncPIDs() {
+		if !p.scope[pid] {
+			continue
+		}
+		if p.canceled() {
+			return
+		}
+		f := p.src.View(pid)
+		if f == nil {
+			continue
+		}
+		p.res.Stats.ScannedFuncs++
+		p.size[pid] = f.NumInstrs()
+		seen := make(map[il.PID]bool)
+		for _, b := range f.Blocks {
+			for ii := range b.Instrs {
+				in := &b.Instrs[ii]
+				switch in.Op {
+				case il.StoreG, il.StoreX:
+					p.stored[in.Sym] = true
+				case il.Call:
+					if !seen[in.Sym] {
+						seen[in.Sym] = true
+						p.callees[pid] = append(p.callees[pid], in.Sym)
+						p.callers[in.Sym] = append(p.callers[in.Sym], pid)
+					}
+					p.meetArgs(in)
+				}
+			}
+		}
+		p.src.DoneWith(pid)
+	}
 	p.computeSCC()
 }
 
 // meetArgs folds one call's arguments into the callee's lattice.
-func (s *Scan) meetArgs(in *il.Instr) {
-	st := s.args[in.Sym]
+func (p *pass) meetArgs(in *il.Instr) {
+	st := p.args[in.Sym]
 	if st == nil {
 		st = &argState{state: make([]uint8, len(in.Args)), val: make([]int64, len(in.Args))}
-		s.args[in.Sym] = st
+		p.args[in.Sym] = st
 	}
 	for i, a := range in.Args {
 		if i >= len(st.state) {

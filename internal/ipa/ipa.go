@@ -120,11 +120,6 @@ type Options struct {
 	// Span is the trace span the analysis nests under (the driver's
 	// "ipa" span). The zero Span records nothing.
 	Span obs.Span
-	// Visit, when non-nil, is called with every in-scope body the scan
-	// checks out, in PID order, while the body is still pinned. It
-	// lets another whole-program scan ride on this one (the driver
-	// builds HLO's initial scan here); it must only read the body.
-	Visit func(pid il.PID, f *il.Function)
 }
 
 // DefaultMaxSet is the default MOD/REF widening threshold.
@@ -203,9 +198,6 @@ func Analyze(prog *il.Program, src Source, opts Options) *Result {
 					}
 				}
 			}
-		}
-		if opts.Visit != nil {
-			opts.Visit(pid, f)
 		}
 		src.DoneWith(pid)
 		direct[pid] = d

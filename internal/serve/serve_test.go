@@ -379,8 +379,11 @@ func TestAdmissionControl(t *testing.T) {
 // granted Jobs and nothing else, so a request cannot widen it past the
 // daemon's job budget. The "workers" field is not part of the request
 // any more; an old client that still sends it builds as if it had not,
-// byte-identically, and on a JobBudget-1 daemon no two local partitions
-// of its build ever run at once.
+// byte-identically, and on a JobBudget-1 daemon no two routines of its
+// build are ever compiled at once. The check watches llo.Compile's
+// "codegen" spans rather than partition spans: a build that neither
+// caches objects nor has remote workers compiles each routine while
+// extracting it, so its partitions only hand over finished objects.
 func TestJobBudgetBoundsBackendPool(t *testing.T) {
 	mods := testModules(testSpec(43))
 	want := oneShotImage(t, mods)
@@ -439,20 +442,29 @@ func TestJobBudgetBoundsBackendPool(t *testing.T) {
 		t.Fatalf("trace is not a JSON event array: %v", err)
 	}
 	type span struct{ start, end float64 }
-	var local []span
+	var local, codegen []span
 	for _, e := range events {
-		if e.Ph == "X" && e.Name == "partition" && strings.Contains(e.Args.Detail, "via local") {
+		if e.Ph != "X" {
+			continue
+		}
+		switch {
+		case e.Name == "partition" && strings.Contains(e.Args.Detail, "via local"):
 			local = append(local, span{e.Ts, e.Ts + e.Dur})
+		case e.Name == "codegen":
+			codegen = append(codegen, span{e.Ts, e.Ts + e.Dur})
 		}
 	}
 	if len(local) != br.Stats.PartitionsLocal {
 		t.Fatalf("trace holds %d local partition spans, stats count %d", len(local), br.Stats.PartitionsLocal)
 	}
-	sort.Slice(local, func(i, j int) bool { return local[i].start < local[j].start })
-	for i := 1; i < len(local); i++ {
-		if local[i].start < local[i-1].end {
-			t.Fatalf("local partitions overlap: [%.3f, %.3f) and [%.3f, %.3f) µs",
-				local[i-1].start, local[i-1].end, local[i].start, local[i].end)
+	if len(codegen) < 2 {
+		t.Fatalf("trace holds %d codegen spans; the overlap check needs at least 2", len(codegen))
+	}
+	sort.Slice(codegen, func(i, j int) bool { return codegen[i].start < codegen[j].start })
+	for i := 1; i < len(codegen); i++ {
+		if codegen[i].start < codegen[i-1].end {
+			t.Fatalf("routine compiles overlap: [%.3f, %.3f) and [%.3f, %.3f) µs",
+				codegen[i-1].start, codegen[i-1].end, codegen[i].start, codegen[i].end)
 		}
 	}
 }

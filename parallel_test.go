@@ -36,9 +36,12 @@ func lowerSpec(t *testing.T, spec workload.Spec) (*il.Program, map[il.PID]*il.Fu
 
 // TestCompileParallelErrorUnpinsAll: when one routine fails
 // verification mid-stream under Jobs > 1, the LLO stage must fail,
-// stop handing out partitions, and release every body its workers
-// checked out — a failing build leaves no pinned handles behind, so
-// UnloadAll can compact everything — and hand no code to the linker.
+// stop compiling, and release every body its workers checked out — a
+// failing build leaves no pinned handles behind, so UnloadAll can
+// compact everything — and hand no code to the linker. The build
+// neither caches objects nor has remote workers, so its routines
+// compile as they are extracted and the failure ends the stage before
+// it plans any partition.
 func TestCompileParallelErrorUnpinsAll(t *testing.T) {
 	spec := testSpec(31)
 	prog, fns := lowerSpec(t, spec)
@@ -82,8 +85,8 @@ func TestCompileParallelErrorUnpinsAll(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), victim.Name) {
 		t.Fatalf("LLO error = %v, want the verification failure of %s", err, victim.Name)
 	}
-	if b.Stats.Partitions != 8 {
-		t.Errorf("stage used %d partitions, want 8", b.Stats.Partitions)
+	if b.Stats.Partitions != 0 {
+		t.Errorf("stage planned %d partitions after a failed extraction, want 0", b.Stats.Partitions)
 	}
 	if n := loader.PinnedPools(); n != 0 {
 		t.Errorf("failing build left %d pools pinned", n)

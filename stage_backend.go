@@ -85,9 +85,8 @@ type lloMember struct {
 	calls    []il.PID // callee of each call instruction, in body order
 
 	// obj is the routine compiled under its extract pin (builds that
-	// compile every routine locally), compiled in nanos.
-	obj   *vpa.Func
-	nanos int64
+	// compile every routine locally).
+	obj *vpa.Func
 }
 
 // backendUnit is one partition's dispatch state.
@@ -337,10 +336,9 @@ func (b *Build) runLLO(loader *naim.Loader, opt Options, sess *Session, omit map
 
 // extractMembers checks each routine out once for reading, on Jobs
 // workers, and records what partitioning, fingerprints and cache keys
-// need. With eager set it also compiles the routine under that pin.
-// An eager compile that fails leaves the routine, and every routine
-// after it, to the dispatcher, which compiles it again and reports the
-// failure through its usual path. Members come back in pids order.
+// need. With eager set it also compiles the routine under that pin;
+// a compile error fails the extraction. Members come back in pids
+// order.
 func (b *Build) extractMembers(loader *naim.Loader, opt Options, pids []il.PID, multiLayer, eager bool, lsp obs.Span) ([]*lloMember, error) {
 	prog := b.Prog
 	verify := b.lloVerifyHook(opt)
@@ -349,7 +347,6 @@ func (b *Build) extractMembers(loader *naim.Loader, opt Options, pids []il.PID, 
 		mu       sync.Mutex
 		firstErr error
 		stop     atomic.Bool
-		noEager  atomic.Bool
 		next     atomic.Int64
 		wg       sync.WaitGroup
 	)
@@ -373,14 +370,12 @@ func (b *Build) extractMembers(loader *naim.Loader, opt Options, pids []il.PID, 
 				}
 			}
 		}
-		if eager && !noEager.Load() {
-			start := time.Now()
+		if eager {
 			mf, err := llo.Compile(prog, f, llo.Options{Level: m.level, PBO: m.pbo, Span: lsp, Verify: verify})
 			if err != nil {
-				noEager.Store(true)
-			} else {
-				m.obj, m.nanos = mf, time.Since(start).Nanoseconds()
+				return nil, err
 			}
+			m.obj = mf
 		}
 		return m, nil
 	}
@@ -497,7 +492,7 @@ func (b *Build) dispatchPartitions(queue []*backendUnit, total int, loader *naim
 			}
 			m := u.members[di]
 			if m.obj != nil {
-				u.objs[di], nanos[i] = m.obj, m.nanos
+				u.objs[di] = m.obj
 				continue
 			}
 			start := time.Now()

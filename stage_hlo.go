@@ -56,16 +56,13 @@ func (b *Build) runHLO(loader *naim.Loader, opt Options, sess *Session, volatile
 	// MOD/REF effects and purity before HLO mutates anything, so the
 	// fact-gated transforms can see across calls. Like select, the
 	// "ipa" span nests inside the hlo phase and its cost is reported
-	// as an informational share (Stats.IPANanos). Its scan checks out
-	// exactly the bodies HLO's initial scan needs, so HLO's scan rides
-	// on it instead of sweeping the scope a second time.
+	// as an informational share (Stats.IPANanos).
 	if !opt.NoIPA {
 		if err := opt.ctxErr(); err != nil {
 			return err
 		}
 		isp := hsp.Child("ipa")
-		hopts.Scan = hlo.NewScan()
-		ires := ipa.Analyze(prog, loader, ipa.Options{Scope: sel.scope, Span: isp, Visit: hopts.Scan.Add})
+		ires := ipa.Analyze(prog, loader, ipa.Options{Scope: sel.scope, Span: isp})
 		b.Stats.IPANanos = isp.End()
 		hopts.Summaries = ires.Summaries
 		if tr := hsp.Trace(); tr != nil {
